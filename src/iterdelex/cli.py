@@ -201,7 +201,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                 "iterations": outcome.iterations_run,
                 "candidates": outcome.candidates_evaluated,
             })
-            trace_blocks.append(outcome.trace_text())
+            if trace_path:
+                trace_blocks.append(outcome.trace_text())
 
     with Path(args.output).open("w", encoding="utf-8") as f:
         for row in rows:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from iterdelex.backend import Backend, ParseResult
-from iterdelex.corpus import SlotLabel, repair_bio
+from iterdelex.corpus import SlotLabel, bio_spans, repair_bio
 from iterdelex.gazetteer import Gazetteer, TokenTable
 from iterdelex.seed import DEFAULT_SEED_CAP, Candidate, Span, seed_candidates
 
@@ -100,25 +100,6 @@ class InferenceOutcome:
 # rewrite moves
 
 
-def _predicted_runs(labels: Sequence[SlotLabel]) -> list[tuple[int, int, str, bool]]:
-    """Maximal begin-led and orphan inside-led slot runs: (start, end, slot,
-    begins_properly)."""
-    runs = []
-    t = 0
-    while t < len(labels):
-        lab = labels[t]
-        if lab.kind == "O":
-            t += 1
-            continue
-        slot = lab.slot_type
-        start = t
-        t += 1
-        while t < len(labels) and labels[t].kind == "I" and labels[t].slot_type == slot:
-            t += 1
-        runs.append((start, t, slot, lab.kind == "B"))
-    return runs
-
-
 def _collapse(
     cand: Candidate, start: int, end: int, slot_type: str, surface: str, provenance: str
 ) -> Candidate:
@@ -134,12 +115,13 @@ def _collapse(
 def _span_rewrites(
     cand: Candidate, parse: ParseResult, table: TokenTable, config: EngineConfig
 ) -> Iterable[Candidate]:
-    for start, end, slot, proper in _predicted_runs(parse.predicted_labels):
+    labels = parse.predicted_labels
+    for start, end, slot in bio_spans(labels):
         if slot not in config.ood_slots:
             continue
         if any(table.is_special(tok) for tok in cand.tokens[start:end]):
             continue
-        provenance = "proper_span" if proper else "improper_span"
+        provenance = "proper_span" if labels[start].kind == "B" else "improper_span"
         yield _collapse(cand, start, end, slot, table.surface_for(slot), provenance)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -135,16 +136,39 @@ class Gazetteer:
 
     def phrases_with_types(self) -> dict[Phrase, list[str]]:
         """All slot phrases with the sorted list of slot types attesting them."""
-        out: dict[Phrase, list[str]] = {}
-        for slot in sorted(self.slot_phrases):
-            for phrase in self.slot_phrases[slot]:
-                out.setdefault(phrase, []).append(slot)
-        return out
+        return _slots_by_phrase(self.slot_phrases)
 
-    @property
+    @cached_property
+    def match_table(self) -> dict[Phrase, str]:
+        """Lowercased slot phrase -> its smallest slot type, leaving out context
+        and ambiguous phrases; built on first use, once per gazetteer."""
+        excluded = {_lower(p) for p in self.context_phrases | self.ambiguous_phrases}
+        table: dict[Phrase, str] = {}
+        for slot in sorted(self.slot_phrases, reverse=True):  # smallest written last
+            for phrase in self.slot_phrases[slot]:
+                key = _lower(phrase)
+                if key not in excluded:
+                    table[key] = slot
+        return table
+
+    @cached_property
     def max_phrase_len(self) -> int:
-        lengths = [len(p) for phrases in self.slot_phrases.values() for p in phrases]
-        return max(lengths, default=0)
+        return max(map(len, self.match_table), default=0)
+
+
+def _lower(phrase: Phrase) -> Phrase:
+    lowered = tuple(map(str.lower, phrase))
+    return phrase if lowered == phrase else lowered  # keeps one copy in memory
+
+
+def _slots_by_phrase(
+    slot_phrases: Mapping[str, Iterable[Phrase]],
+) -> dict[Phrase, list[str]]:
+    out: dict[Phrase, list[str]] = {}
+    for slot in sorted(slot_phrases):
+        for phrase in slot_phrases[slot]:
+            out.setdefault(phrase, []).append(slot)
+    return out
 
 
 def build_gazetteer(
@@ -186,11 +210,7 @@ def build_gazetteer(
                 run_start = None
 
     ambiguous: set[Phrase] = set()
-    attestations: dict[Phrase, set[str]] = {}
-    for slot, phrases in slot_phrases.items():
-        for phrase in phrases:
-            attestations.setdefault(phrase, set()).add(slot)
-    for phrase, slots in attestations.items():
+    for phrase, slots in _slots_by_phrase(slot_phrases).items():
         if len(slots) < 2:
             continue
         phrase_groups = {slot_to_group.get(s, f"__solo__{s}") for s in slots}

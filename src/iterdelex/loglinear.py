@@ -290,24 +290,27 @@ class LogLinearBackend(Backend):
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a valid model file: {exc.msg}") from exc
-        if payload.get("format") != FORMAT_NAME:
+        if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
             raise ValueError(f"{path}: not a {FORMAT_NAME} model file")
         if payload.get("version") != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
-        params = TrainingParams(
-            l2=payload["params"]["l2"],
-            max_iter=payload["params"]["max_iter"],
-            min_count=payload["params"]["min_count"],
-            special_tokens=tuple(sorted(payload["special_tokens"])),
-        )
-        return cls(
-            label_set=tuple(SlotLabel.parse(s) for s in payload["labels"]),
-            intent_set=tuple(payload["intents"]),
-            vocab=payload["vocab"],
-            slot_features=payload["slot_features"],
-            slot_weights=np.array(payload["slot_weights"], dtype=float),
-            intent_features=payload["intent_features"],
-            intent_weights=np.array(payload["intent_weights"], dtype=float),
-            special_tokens=payload["special_tokens"],
-            params=params,
-        )
+        try:
+            params = TrainingParams(
+                l2=payload["params"]["l2"],
+                max_iter=payload["params"]["max_iter"],
+                min_count=payload["params"]["min_count"],
+                special_tokens=tuple(sorted(payload["special_tokens"])),
+            )
+            return cls(
+                label_set=tuple(SlotLabel.parse(s) for s in payload["labels"]),
+                intent_set=tuple(payload["intents"]),
+                vocab=payload["vocab"],
+                slot_features=payload["slot_features"],
+                slot_weights=np.array(payload["slot_weights"], dtype=float),
+                intent_features=payload["intent_features"],
+                intent_weights=np.array(payload["intent_weights"], dtype=float),
+                special_tokens=payload["special_tokens"],
+                params=params,
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}: model file has no {exc.args[0]!r} entry") from None

@@ -101,22 +101,14 @@ def original_candidate(tokens: Sequence[str]) -> Candidate:
 
 
 def find_matches(tokens: Sequence[str], gazetteer: Gazetteer) -> tuple[Span, ...]:
-    """Greedy longest-first, non-overlapping gazetteer matches.
+    """Greedy longest-first, non-overlapping gazetteer matches, ignoring case.
 
     Context and ambiguous phrases never match. A phrase attested under
     several slot types (necessarily within one shared group, or it would be
     ambiguous) resolves to the lexicographically smallest type.
     """
-    usable: dict[tuple[str, ...], str] = {}
-    for phrase, slots in gazetteer.phrases_with_types().items():
-        if phrase in gazetteer.context_phrases:
-            continue
-        if phrase in gazetteer.ambiguous_phrases:
-            continue
-        usable[phrase] = min(slots)
-    if not usable:
-        return ()
-
+    table = gazetteer.match_table
+    lowered = tuple(tok.lower() for tok in tokens)
     covered = [False] * len(tokens)
     matches: list[Span] = []
     for length in range(gazetteer.max_phrase_len, 0, -1):
@@ -124,8 +116,7 @@ def find_matches(tokens: Sequence[str], gazetteer: Gazetteer) -> tuple[Span, ...
             end = start + length
             if any(covered[start:end]):
                 continue
-            phrase = tuple(tokens[start:end])
-            slot = usable.get(phrase)
+            slot = table.get(lowered[start:end])
             if slot is None:
                 continue
             matches.append(Span(start, end, slot))

@@ -3,10 +3,12 @@ plus config files and exit codes (0 success, 1 validation, 2 I/O)."""
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from iterdelex.cli import main
+from iterdelex.cli import build_parser, main
 from iterdelex.corpus import SlotLabel
 from iterdelex.loglinear import LogLinearBackend
 from iterdelex.synth import default_spec, save_spec
@@ -172,6 +174,37 @@ class TestInfer:
         assert code == 1
         assert "never seen by the model" in capsys.readouterr().err
 
+    def test_gazetteer_match_ignores_case(self, workspace, tmp_path):
+        gazetteer = tmp_path / "gaz.tsv"
+        gazetteer.write_text(workspace["gazetteer"].read_text() + "slot\tcontact\tZara\n")
+        utterance = tmp_path / "utterance.jsonl"
+        utterance.write_text(json.dumps({"tokens": ["call", "Zara", "on", "speaker"]}) + "\n")
+        out = tmp_path / "pred.jsonl"
+        assert main([
+            "infer", "--model", str(workspace["model"]),
+            "--gazetteer", str(gazetteer),
+            "--input", str(utterance),
+            "--output", str(out),
+            "--ood-slots", "message",
+        ]) == 0
+        assert read_jsonl(out)[0]["delexicalized"] == ["call", "<contact>", "on", "speaker"]
+
+    @pytest.mark.parametrize("key", ["params", "slot_weights"])
+    def test_model_missing_entry_rejected(self, workspace, tmp_path, capsys, key):
+        payload = json.loads(workspace["model"].read_text())
+        del payload[key]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code = main([
+            "infer", "--model", str(model),
+            "--gazetteer", str(workspace["gazetteer"]),
+            "--input", str(workspace["test"]),
+            "--output", str(tmp_path / "pred.jsonl"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err and repr(key) in err
+
     def test_missing_model_is_io_error(self, workspace, tmp_path):
         code = main([
             "infer", "--model", str(tmp_path / "nope.json"),
@@ -275,3 +308,39 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert main(["train", "--out", "/tmp/x"]) == 1
         assert "--data" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """Each ``iterdelex`` command line in the README's Quick start."""
+    block = README.read_text().split("## Quick start")[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("iterdelex ")]
+
+
+def readme_flags():
+    """(subcommand, flag) for every --flag the README names under a subcommand."""
+    flags = {(argv[0], w) for argv in readme_commands() for w in argv if w.startswith("--")}
+    commands = README.read_text().split("## Commands")[1].split("\n\n")[1]
+    for bullet in commands.split("\n- "):
+        command = re.match(r"-? ?`(\w+)`", bullet).group(1)
+        flags |= {(command, flag) for flag in re.findall(r"`(--[\w-]+)", bullet)}
+    return flags
+
+
+class TestReadme:
+    def test_quick_start_commands_parse(self):
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == ["gen", "train", "infer", "eval"]
+        for argv in commands:
+            build_parser().parse_args(argv)
+
+    def test_every_flag_named_under_a_subcommand_exists(self):
+        flags = readme_flags()
+        assert ("infer", "--k") in flags and ("eval", "--categories") in flags
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        unknown = sorted((cmd, flag) for cmd, flag in flags
+                         if flag not in subparsers[cmd]._option_string_actions)
+        assert unknown == []

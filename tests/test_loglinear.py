@@ -131,6 +131,9 @@ class TestSerialization:
         path.write_text("{}")
         with pytest.raises(ValueError, match="model file"):
             LogLinearBackend.load(path)
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="not a iterdelex-loglinear model file"):
+            LogLinearBackend.load(path)
         path.write_text("not json")
         with pytest.raises(ValueError, match="not a valid model file"):
             LogLinearBackend.load(path)

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from iterdelex.gazetteer import Gazetteer, build_token_table
 from iterdelex.seed import (
     Candidate,
@@ -121,6 +124,44 @@ class TestFindMatches:
         g = gaz({"contact": [("ana",)]})
         got = find_matches(("ana", "calls", "ana"), g)
         assert got == (Span(0, 1, "contact"), Span(2, 3, "contact"))
+
+
+# Mixed-case words, so that rows and tokens differ from each other in case
+WORDS = ("ana", "Ana", "jazz", "JAZZ", "mom", "play")
+PHRASES = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(tuple)
+# album and song share a placeholder group, contact stands alone
+SLOTS = ("album", "contact", "song")
+
+
+def lowered(phrase):
+    return tuple(word.lower() for word in phrase)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_find_matches_agrees_with_oracle_on_random_gazetteers(data):
+    slot_rows = data.draw(st.lists(st.tuples(st.sampled_from(SLOTS), PHRASES), max_size=10))
+    attested = [phrase for _, phrase in slot_rows] or [("mom",)]
+    excluded_rows = st.lists(st.one_of(PHRASES, st.sampled_from(attested)), max_size=3)
+    context, ambiguous = data.draw(excluded_rows), data.draw(excluded_rows)
+    g = gaz(
+        {slot: [p for s, p in slot_rows if s == slot] for slot, _ in slot_rows},
+        context, ambiguous, {"media": ("album", "song")},
+    )
+    slots_of: dict = {}
+    for slot, phrase in slot_rows:
+        slots_of.setdefault(lowered(phrase), set()).add(slot)
+    excluded = {lowered(p) for p in context + ambiguous}
+    table = {p: min(slots) for p, slots in slots_of.items() if p not in excluded}
+
+    utterances = st.lists(st.sampled_from(WORDS + ("for",)), min_size=1, max_size=8)
+    tokens, other = data.draw(utterances), data.draw(utterances)
+    expected = tuple(
+        Span(*m) for m in oracle._match_phrases(lowered(tokens), table, max_len=3)
+    )
+    assert find_matches(tokens, g) == expected
+    find_matches(other, g)
+    assert find_matches(tokens, g) == expected
 
 
 class TestSeedCandidates:
