@@ -59,8 +59,12 @@ class ParseResult:
         dists = np.asarray(distributions, dtype=float)
         if dists.ndim != 2 or dists.shape[1] != len(label_set):
             raise ValueError("distributions must be (n_tokens, n_labels)")
-        labels = tuple(label_set[int(i)] for i in dists.argmax(axis=1))
-        entropies = np.array([entropy(row) for row in dists])
+        labels = tuple(label_set[i] for i in dists.argmax(axis=1).tolist())
+        if (dists > 0.0).all():
+            entropies = (-(dists * np.log(dists))).sum(axis=1)
+        else:
+            # entropy() drops the zeros, which regroups numpy's pairwise sum
+            entropies = np.array([entropy(row) for row in dists])
         intent_dist = np.asarray(intent_distribution, dtype=float)
         intent = intent_set[int(intent_dist.argmax())]
         return cls(

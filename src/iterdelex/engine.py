@@ -63,8 +63,10 @@ def score(parse: ParseResult, *, entropy_floor: float = DEFAULT_ENTROPY_FLOOR) -
     """Sequence length over summed token entropies (floored): higher means
     the parser labeled every token more confidently."""
     total = 0.0
-    for e in parse.token_entropies:  # summed in token order, deliberately
-        total += float(e)
+    # summed in token order, deliberately: the built-in sum() compensates
+    # rounding from Python 3.12 on
+    for e in parse.token_entropies.tolist():
+        total += e
     return len(parse) / max(total, entropy_floor)
 
 

@@ -9,6 +9,18 @@ trained to the regularized optimum with L-BFGS, so training is
 deterministic: the same corpus and parameters yield a byte-identical model
 file.
 
+Every position has exactly five one-hot features (bias, cur, prev, next,
+special), named by :func:`_slot_feature_names`. Training builds the named
+features; inference never does. Instead the backend turns the features
+into id tables once, when it is built: every known token (the vocabulary
+and the placeholders) gets a token id, plus one id for any other token and
+one for the boundary beyond either end of the sequence. Per token id, the
+tables hold the weight row of each template, and the intent bag column.
+A feature the model never saw points at a zero row appended to the slot
+weights. A parse then looks each token up once, gathers five weight rows
+per position, adds them in template order and runs one softmax, which
+gives the same bits as summing the named features' rows.
+
 This deliberately stays small and dependency-free, and it exhibits the
 property the rewrite engine relies on: tokens seen in context during
 training get confident (low-entropy) label distributions, while
@@ -38,6 +50,18 @@ _EOS = "</s>"
 _UNK = "<unk>"
 
 _N_SLOT_FEATURES = 5  # bias, cur, prev, next, special-flag
+
+
+def _slot_feature_names(cur: str, prev: str, nxt: str, special: bool) -> list[str]:
+    """The slot feature template: one position's five features, in the order
+    their weight rows are summed. Token arguments are already normalized."""
+    flag = "yes" if special else "no"
+    return ["bias", f"cur={cur}", f"prev={prev}", f"next={nxt}", f"special={flag}"]
+
+
+def _bag_feature(token: str) -> str:
+    """The intent feature of one normalized token."""
+    return f"tok={token}"
 
 
 @dataclass(frozen=True)
@@ -91,6 +115,24 @@ def _fit_softmax(
     return result.x.reshape(n_features, n_classes)
 
 
+def _weight_matrix(
+    path: str | Path, payload: dict, entry: str, shape: tuple[int, int]
+) -> np.ndarray:
+    """A model file's weight matrix, checked to be numeric and of ``shape``
+    (features x classes)."""
+    try:
+        matrix = np.array(payload[entry])
+    except ValueError:  # rows of different lengths
+        matrix = np.array(None)
+    if matrix.ndim != 2 or matrix.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: model entry {entry!r} is not a numeric matrix")
+    if matrix.shape != shape:
+        raise ValueError(
+            f"{path}: model entry {entry!r} has shape {matrix.shape}, expected {shape}"
+        )
+    return matrix.astype(float)
+
+
 class LogLinearBackend(Backend):
     def __init__(
         self,
@@ -113,8 +155,7 @@ class LogLinearBackend(Backend):
         self.intent_weights = np.asarray(intent_weights, dtype=float)
         self.special_tokens = frozenset(special_tokens)
         self.params = params
-        self._slot_index = {name: i for i, name in enumerate(self.slot_features)}
-        self._intent_index = {name: i for i, name in enumerate(self.intent_features)}
+        self._build_id_tables()
 
     # -- feature templates -------------------------------------------------
 
@@ -125,12 +166,37 @@ class LogLinearBackend(Backend):
         cur = self._norm(tokens[t])
         prev = self._norm(tokens[t - 1]) if t > 0 else _BOS
         nxt = self._norm(tokens[t + 1]) if t + 1 < len(tokens) else _EOS
-        flag = "yes" if tokens[t] in self.special_tokens else "no"
-        return ["bias", f"cur={cur}", f"prev={prev}", f"next={nxt}", f"special={flag}"]
+        return _slot_feature_names(cur, prev, nxt, tokens[t] in self.special_tokens)
 
-    def _slot_feature_ids(self, names: list[str]) -> list[int]:
-        index = self._slot_index
-        return [index[n] for n in names if n in index]
+    def _build_id_tables(self) -> None:
+        slot_index = {name: i for i, name in enumerate(self.slot_features)}
+        absent = len(self.slot_features)  # the zero row appended below
+        self._slot_rows = np.vstack(
+            [self.slot_weights, np.zeros((1, self.slot_weights.shape[1]))]
+        )
+        self.slot_weights = self._slot_rows[:-1]  # a view: the saved weights
+        intent_index = {name: i for i, name in enumerate(self.intent_features)}
+        no_column = len(self.intent_features)  # a bag bin that parse drops
+
+        known = sorted(self.vocab | self.special_tokens)
+        self._token_ids = {tok: i for i, tok in enumerate(known)}
+        self._other_id = len(known)
+        self._boundary_id = len(known) + 1
+        # a token's row in each template is the one it has when it is also
+        # its own previous and next token
+        names = []
+        for tok in known:
+            norm = self._norm(tok)
+            names.append(_slot_feature_names(norm, norm, norm, tok in self.special_tokens))
+        names.append(_slot_feature_names(_UNK, _UNK, _UNK, False))  # other
+        names.append(_slot_feature_names(_UNK, _BOS, _EOS, False))  # boundary
+        rows = np.array([[slot_index.get(n, absent) for n in row] for row in names])
+        bias, self._cur_rows, self._prev_rows, self._next_rows, self._special_rows = rows.T.copy()
+        self._bias_row = int(bias[0])
+        self._bag_columns = np.array(
+            [intent_index.get(_bag_feature(self._norm(tok)), no_column) for tok in known]
+            + [intent_index.get(_bag_feature(_UNK), no_column), no_column]
+        )
 
     # -- training ----------------------------------------------------------
 
@@ -177,10 +243,8 @@ class LogLinearBackend(Backend):
 
         feature_names = {name for row in rows for name in row}
         # inference-time sentinels must exist even if unseen during training
-        feature_names.update(
-            {"bias", f"cur={_UNK}", f"prev={_UNK}", f"next={_UNK}",
-             f"prev={_BOS}", f"next={_EOS}", "special=yes", "special=no"}
-        )
+        feature_names.update(_slot_feature_names(_UNK, _UNK, _UNK, True))
+        feature_names.update(_slot_feature_names(_UNK, _BOS, _EOS, False))
         slot_features = ["bias"] + sorted(feature_names - {"bias"})
         slot_index = {name: i for i, name in enumerate(slot_features)}
 
@@ -199,7 +263,7 @@ class LogLinearBackend(Backend):
         )
 
         # intent model: bag-of-token counts
-        intent_features = ["bias"] + [f"tok={t}" for t in vocab] + [f"tok={_UNK}"]
+        intent_features = ["bias"] + [_bag_feature(t) for t in vocab] + [_bag_feature(_UNK)]
         intent_index = {name: i for i, name in enumerate(intent_features)}
         intent_targets = np.array(
             [corpus.intent_set.index(utt.gold_intent) for utt in corpus]
@@ -208,7 +272,7 @@ class LogLinearBackend(Backend):
         for utt in corpus:
             bag: dict[int, float] = {0: 1.0}
             for tok in utt.tokens:
-                fid = intent_index.get(f"tok={shell._norm(tok)}")
+                fid = intent_index.get(_bag_feature(shell._norm(tok)))
                 if fid is not None:
                     bag[fid] = bag.get(fid, 0.0) + 1.0
             for fid in sorted(bag):
@@ -240,19 +304,25 @@ class LogLinearBackend(Backend):
     def parse(self, tokens: Sequence[str]) -> ParseResult:
         if not tokens:
             raise ValueError("cannot parse an empty token sequence")
-        n = len(tokens)
-        scores = np.zeros((n, len(self.label_set)))
-        for t in range(n):
-            ids = self._slot_feature_ids(self._position_features(tokens, t))
-            scores[t] = self.slot_weights[ids].sum(axis=0)
+        token_ids, other = self._token_ids, self._other_id
+        ids = np.array(
+            [self._boundary_id, *[token_ids.get(tok, other) for tok in tokens], self._boundary_id]
+        )
+        own = ids[1:-1]
+        w = self._slot_rows
+        # the order of the additions is the template order, as in training
+        scores = (
+            w[self._bias_row]
+            + w[self._cur_rows[own]]
+            + w[self._prev_rows[ids[:-2]]]
+            + w[self._next_rows[ids[2:]]]
+            + w[self._special_rows[own]]
+        )
         dists = _softmax_rows(scores)
 
-        bag = np.zeros(len(self.intent_features))
-        bag[0] = 1.0
-        for tok in tokens:
-            fid = self._intent_index.get(f"tok={self._norm(tok)}")
-            if fid is not None:
-                bag[fid] += 1.0
+        n_bag = len(self.intent_features)
+        bag = np.bincount(self._bag_columns[own], minlength=n_bag + 1)[:n_bag].astype(float)
+        bag[0] += 1.0
         intent_scores = bag @ self.intent_weights
         intent_dist = _softmax_rows(intent_scores[None, :])[0]
         return ParseResult.from_distributions(
@@ -301,14 +371,22 @@ class LogLinearBackend(Backend):
                 min_count=payload["params"]["min_count"],
                 special_tokens=tuple(sorted(payload["special_tokens"])),
             )
+            labels = tuple(SlotLabel.parse(s) for s in payload["labels"])
+            intents = tuple(payload["intents"])
+            slot_features = payload["slot_features"]
+            intent_features = payload["intent_features"]
             return cls(
-                label_set=tuple(SlotLabel.parse(s) for s in payload["labels"]),
-                intent_set=tuple(payload["intents"]),
+                label_set=labels,
+                intent_set=intents,
                 vocab=payload["vocab"],
-                slot_features=payload["slot_features"],
-                slot_weights=np.array(payload["slot_weights"], dtype=float),
-                intent_features=payload["intent_features"],
-                intent_weights=np.array(payload["intent_weights"], dtype=float),
+                slot_features=slot_features,
+                slot_weights=_weight_matrix(
+                    path, payload, "slot_weights", (len(slot_features), len(labels))
+                ),
+                intent_features=intent_features,
+                intent_weights=_weight_matrix(
+                    path, payload, "intent_weights", (len(intent_features), len(intents))
+                ),
                 special_tokens=payload["special_tokens"],
                 params=params,
             )

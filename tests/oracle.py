@@ -9,11 +9,19 @@ enough beam for the comparison to be meaningful).
 
 Alignment entries: ("nat",) for an original token, ("ph", start, end, slot)
 for a placeholder covering original span [start, end).
+
+``reference_parse`` is the log-linear tagger's parse computed from named
+features, one position at a time, as the backend did before it parsed
+through id tables; the backend must match it bit for bit.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
+
+from iterdelex.backend import ParseResult
 
 Entry = tuple
 Align = tuple[Entry, ...]
@@ -195,3 +203,56 @@ def brute_force_parse(tokens, backend, phrase_to_slot, surface_of, specials,
 
     assert best_cand is not None
     return best_cand[0], best_score, iterations, evaluated
+
+
+def _softmax(scores):
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _row_entropy(row) -> float:
+    nz = row[row > 0.0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def reference_parse(backend, tokens) -> ParseResult:
+    """A ``LogLinearBackend`` parse from its named features: each position's
+    features are looked up by name, unknown names are skipped, and the
+    remaining weight rows are summed."""
+    vocab, n = backend.vocab, len(tokens)
+    index = {name: i for i, name in enumerate(backend.slot_features)}
+
+    def norm(tok):
+        return tok if tok in vocab else "<unk>"
+
+    scores = np.zeros((n, len(backend.label_set)))
+    for t in range(n):
+        names = [
+            "bias",
+            f"cur={norm(tokens[t])}",
+            f"prev={norm(tokens[t - 1]) if t > 0 else '<s>'}",
+            f"next={norm(tokens[t + 1]) if t + 1 < n else '</s>'}",
+            f"special={'yes' if tokens[t] in backend.special_tokens else 'no'}",
+        ]
+        ids = [index[name] for name in names if name in index]
+        scores[t] = backend.slot_weights[ids].sum(axis=0)
+    dists = _softmax(scores)
+
+    intent_index = {name: i for i, name in enumerate(backend.intent_features)}
+    bag = np.zeros(len(backend.intent_features))
+    bag[0] = 1.0
+    for tok in tokens:
+        fid = intent_index.get(f"tok={norm(tok)}")
+        if fid is not None:
+            bag[fid] += 1.0
+    intent_dist = _softmax((bag @ backend.intent_weights)[None, :])[0]
+    return ParseResult(
+        label_set=backend.label_set,
+        intent_set=backend.intent_set,
+        distributions=dists,
+        predicted_labels=tuple(backend.label_set[int(i)] for i in dists.argmax(axis=1)),
+        intent_distribution=intent_dist,
+        predicted_intent=backend.intent_set[int(intent_dist.argmax())],
+        token_entropies=np.array([_row_entropy(row) for row in dists]),
+    )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterdelex.backend import (
     DistributionRecipe,
@@ -85,6 +87,37 @@ class TestParseResult:
     def test_shape_validated(self):
         with pytest.raises(ValueError, match="n_tokens, n_labels"):
             ParseResult.from_distributions(LABELS, INTENTS, np.ones((2, 5)) / 5, [1, 0])
+
+
+@st.composite
+def probability_rows(draw, label_set):
+    """One row over ``label_set``: all positive, with exact zeros, one-hot or peaked."""
+    n = len(label_set)
+    kind = draw(st.sampled_from(["positive", "zeros", "one_hot", "peaked"]))
+    label = str(label_set[draw(st.integers(0, n - 1))])
+    if kind == "one_hot":
+        return one_hot(label).resolve(label_set)
+    if kind == "peaked":
+        peak = draw(st.floats(min_value=1e-6, max_value=1.0, exclude_min=True))
+        return peaked(label, peak).resolve(label_set)
+    # weights over 300 orders of magnitude, so some terms vanish in the sum
+    row = np.exp(np.array(draw(st.lists(st.floats(-690.0, 0.0), min_size=n, max_size=n))))
+    if kind == "zeros":
+        zeros = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        row[sorted(zeros)] = 0.0
+    return row / row.sum()
+
+
+# numpy sums a row of fewer than 9 terms in one way and a longer row in another
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from([2, 5, 9, 13, 21]))
+def test_from_distributions_entropies_equal_row_entropy_bitwise(data, n_labels):
+    label_set = labels("O", *[f"B-s{i}" for i in range(n_labels - 1)])
+    rows = data.draw(st.lists(probability_rows(label_set), min_size=1, max_size=12))
+    dists = np.array(rows)
+    result = ParseResult.from_distributions(label_set, INTENTS, dists, [0.5, 0.5])
+    expected = np.array([entropy(row) for row in dists])
+    assert result.token_entropies.tobytes() == expected.tobytes()
 
 
 class TestScriptedBackend:

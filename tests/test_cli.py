@@ -189,10 +189,24 @@ class TestInfer:
         ]) == 0
         assert read_jsonl(out)[0]["delexicalized"] == ["call", "<contact>", "on", "speaker"]
 
-    @pytest.mark.parametrize("key", ["params", "slot_weights"])
-    def test_model_missing_entry_rejected(self, workspace, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key,edit", [
+        pytest.param("params", lambda p: p.pop("params"), id="params"),
+        pytest.param("slot_weights", lambda p: p.pop("slot_weights"), id="slot_weights"),
+        pytest.param("slot_weights", lambda p: p["slot_weights"].pop(), id="slot_weights-rows"),
+        pytest.param("slot_weights", lambda p: [r.pop() for r in p["slot_weights"]],
+                     id="slot_weights-columns"),
+        pytest.param("slot_weights", lambda p: p["slot_weights"][0].pop(),
+                     id="slot_weights-ragged"),
+        pytest.param("intent_weights", lambda p: p["intent_weights"].pop(),
+                     id="intent_weights-rows"),
+        pytest.param("intent_weights", lambda p: [r.pop() for r in p["intent_weights"]],
+                     id="intent_weights-columns"),
+    ])
+    def test_model_missing_entry_rejected(self, workspace, tmp_path, capsys, key, edit):
+        """A missing or malformed model entry exits 1 with an error line
+        naming the file and the entry."""
         payload = json.loads(workspace["model"].read_text())
-        del payload[key]
+        edit(payload)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
         code = main([

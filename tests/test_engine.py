@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterdelex.backend import (
     ParseResult,
@@ -12,7 +14,7 @@ from iterdelex.backend import (
     peaked,
     uniform,
 )
-from iterdelex.corpus import SlotLabel
+from iterdelex.corpus import SlotLabel, is_valid_bio
 from iterdelex.engine import (
     EngineConfig,
     TraceEntry,
@@ -270,6 +272,58 @@ class TestProjection:
         cand = original_candidate(("a", "b"))
         with pytest.raises(ValueError, match="does not match"):
             project_labels(cand, fake_parse(["O"]))
+
+
+PROJECTION_SLOTS = ("contact", "msg")
+PROJECTION_LABELS = labels("O", "B-contact", "I-contact", "B-msg", "I-msg")
+
+
+@st.composite
+def tiled_candidates(draw):
+    """A candidate tiling its source with natural tokens and placeholder
+    spans, and a random predicted label for each of its tokens."""
+    pieces = draw(st.lists(
+        st.one_of(st.none(), st.tuples(st.integers(1, 4), st.sampled_from(PROJECTION_SLOTS))),
+        min_size=1, max_size=12,
+    ))
+    tokens, alignment, cursor = [], [], 0
+    for piece in pieces:
+        if piece is None:
+            tokens.append(f"w{cursor}")
+            alignment.append(None)
+            cursor += 1
+        else:
+            length, slot = piece
+            tokens.append(f"<{slot}>")
+            alignment.append(Span(cursor, cursor + length, slot))
+            cursor += length
+    predicted = draw(st.lists(
+        st.sampled_from([str(lab) for lab in PROJECTION_LABELS]),
+        min_size=len(tokens), max_size=len(tokens),
+    ))
+    return Candidate(tuple(tokens), tuple(alignment), "seed"), predicted
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiled_candidates())
+def test_projection_is_valid_bio_over_the_source(case):
+    cand, predicted = case
+    out, repairs = project_labels(cand, fake_parse(predicted, PROJECTION_LABELS))
+    assert len(out) == cand.source_length
+    assert is_valid_bio(out)
+    cursor, repaired = 0, 0
+    for pos, entry in enumerate(cand.alignment):
+        if entry is None:
+            want = SlotLabel.parse(predicted[pos])
+            if out[cursor] != want:  # only an orphan inside label changes
+                assert want.kind == "I" and out[cursor] == SlotLabel.begin(want.slot_type)
+                repaired += 1
+            cursor += 1
+        else:
+            inside = (SlotLabel.inside(entry.slot_type),) * (len(entry) - 1)
+            assert out[entry.start:entry.end] == (SlotLabel.begin(entry.slot_type),) + inside
+            cursor = entry.end
+    assert repairs == repaired
 
 
 class TestIterativeParse:

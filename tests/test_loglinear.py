@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from iterdelex.corpus import Dataset, SlotLabel, Utterance
 from iterdelex.loglinear import LogLinearBackend, TrainingParams
 
@@ -103,6 +106,41 @@ class TestUncertaintySignal:
         np.testing.assert_allclose(parse.distributions.sum(axis=1), 1.0, atol=1e-9)
 
 
+# with min_count=2, every token seen once (<genre> among them) maps to
+# <unk>, and "now" ends every sentence it is in, so "prev=now" is never seen
+SPARSE_PARAMS = TrainingParams(min_count=2, special_tokens=("<contact>", "<genre>", "<city>"))
+UNSEEN = ("zebra", "qux", "<unk>", "<s>", "</s>", "<city>")
+
+
+@pytest.fixture(scope="module")
+def sparse_backend():
+    corpus = Dataset.from_utterances(
+        [*toy_corpus(), utt("call <contact> now", "O B-contact O", "call")]
+    )
+    backend = LogLinearBackend.train(corpus, SPARSE_PARAMS)
+    assert "alice" not in backend.vocab and "<genre>" not in backend.vocab
+    assert "<contact>" in backend.vocab and "now" in backend.vocab
+    assert "next=now" in backend.slot_features and "prev=now" not in backend.slot_features
+    return backend
+
+
+def test_parse_equals_named_feature_reference_bitwise(sparse_backend):
+    words = sorted({tok for u in toy_corpus() for tok in u.tokens}) + list(UNSEEN)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(words), min_size=1, max_size=20))
+    def check(tokens):
+        got = sparse_backend.parse(tokens)
+        want = oracle.reference_parse(sparse_backend, tokens)
+        assert got.distributions.tobytes() == want.distributions.tobytes()
+        assert got.token_entropies.tobytes() == want.token_entropies.tobytes()
+        assert got.predicted_labels == want.predicted_labels
+        assert got.intent_distribution.tobytes() == want.intent_distribution.tobytes()
+        assert got.predicted_intent == want.predicted_intent
+
+    check()
+
+
 class TestSerialization:
     def test_round_trip_preserves_parses(self, backend, tmp_path):
         path = tmp_path / "model.json"
@@ -126,7 +164,9 @@ class TestSerialization:
         LogLinearBackend.train(toy_corpus(), PARAMS).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_load_rejects_foreign_files(self, tmp_path):
+    def test_load_rejects_foreign_files(self, backend, tmp_path):
+        import json
+
         path = tmp_path / "junk.json"
         path.write_text("{}")
         with pytest.raises(ValueError, match="model file"):
@@ -137,6 +177,16 @@ class TestSerialization:
         path.write_text("not json")
         with pytest.raises(ValueError, match="not a valid model file"):
             LogLinearBackend.load(path)
+        backend.save(path)
+        payload = json.loads(path.read_text())
+        for entry, value in [
+            ("slot_weights", [1.0, 2.0]),
+            ("slot_weights", [[True] * len(backend.label_set)] * len(backend.slot_features)),
+            ("intent_weights", [["0.5"] * len(backend.intent_set)] * len(backend.intent_features)),
+        ]:
+            path.write_text(json.dumps({**payload, entry: value}))
+            with pytest.raises(ValueError, match=f"'{entry}' is not a numeric matrix"):
+                LogLinearBackend.load(path)
 
     def test_load_rejects_wrong_version(self, backend, tmp_path):
         import json
