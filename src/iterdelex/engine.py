@@ -9,9 +9,15 @@ rewrite moves:
 * collapse an inside-only (orphan) slot run to its placeholder,
 * widen an existing placeholder over adjacent low-confidence tokens.
 
-The loop stops when a round yields no new candidates or fails to improve
-the best score. The winning candidate's parse is projected back onto the
-original tokens through the candidate's alignment.
+Each distinct candidate is scored once, into one evaluation log of
+``(iteration, score, candidate)`` entries in evaluation order, the seeds
+at iteration 0. Everything else is read from the log. The winner is the
+entry with the highest score, ties going to the smaller
+``Candidate.key()``; the candidate count and the trace are the log's
+length and entries. The loop stops when a round yields no new candidates
+or its best score does not beat the log's best before it. The winning
+candidate's parse is projected back onto the original tokens through the
+candidate's alignment.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 from iterdelex.backend import Backend, ParseResult
 from iterdelex.corpus import SlotLabel, bio_spans, repair_bio
 from iterdelex.gazetteer import Gazetteer, TokenTable
-from iterdelex.seed import DEFAULT_SEED_CAP, Candidate, Span, seed_candidates
+from iterdelex.seed import DEFAULT_SEED_CAP, Candidate, seed_candidates
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +52,6 @@ class EngineConfig:
     tau: float = DEFAULT_TAU
     top_k: int = DEFAULT_TOP_K
     seed_cap: int = DEFAULT_SEED_CAP
-    entropy_floor: float = DEFAULT_ENTROPY_FLOOR
 
     def __post_init__(self) -> None:
         if self.tau < 0:
@@ -55,8 +60,6 @@ class EngineConfig:
             raise ValueError("top_k must be at least 1")
         if self.seed_cap < 1:
             raise ValueError("seed_cap must be at least 1")
-        if self.entropy_floor <= 0:
-            raise ValueError("entropy_floor must be positive")
 
 
 def score(parse: ParseResult, *, entropy_floor: float = DEFAULT_ENTROPY_FLOOR) -> float:
@@ -83,6 +86,14 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class InferenceOutcome:
+    """The result of one ``iterative_parse`` call.
+
+    ``evaluations`` is the evaluation log: one ``(iteration, score,
+    candidate)`` entry per distinct candidate, in evaluation order, with
+    the seeds at iteration 0. ``candidates_evaluated`` and ``trace`` are
+    read from it, and ``trace_text()`` formats it only when called.
+    """
+
     source_tokens: tuple[str, ...]
     best: Candidate
     parse: ParseResult
@@ -90,9 +101,19 @@ class InferenceOutcome:
     intent: str
     score: float
     iterations_run: int
-    candidates_evaluated: int
     repairs: int
-    trace: tuple[TraceEntry, ...]
+    evaluations: tuple[tuple[int, float, Candidate], ...]
+
+    @property
+    def candidates_evaluated(self) -> int:
+        return len(self.evaluations)
+
+    @property
+    def trace(self) -> tuple[TraceEntry, ...]:
+        return tuple(
+            TraceEntry(iteration, value, cand.provenance, cand.tokens)
+            for iteration, value, cand in self.evaluations
+        )
 
     def trace_text(self) -> str:
         return "".join(entry.format() + "\n" for entry in self.trace)
@@ -100,18 +121,6 @@ class InferenceOutcome:
 
 # ---------------------------------------------------------------------------
 # rewrite moves
-
-
-def _collapse(
-    cand: Candidate, start: int, end: int, slot_type: str, surface: str, provenance: str
-) -> Candidate:
-    extents = cand.source_extents()
-    merged = Span(extents[start][0], extents[end - 1][1], slot_type)
-    return Candidate(
-        cand.tokens[:start] + (surface,) + cand.tokens[end:],
-        cand.alignment[:start] + (merged,) + cand.alignment[end:],
-        provenance,
-    )
 
 
 def _span_rewrites(
@@ -124,7 +133,7 @@ def _span_rewrites(
         if any(table.is_special(tok) for tok in cand.tokens[start:end]):
             continue
         provenance = "proper_span" if labels[start].kind == "B" else "improper_span"
-        yield _collapse(cand, start, end, slot, table.surface_for(slot), provenance)
+        yield cand.collapse(start, end, slot, table.surface_for(slot), provenance)
 
 
 def _expansion_rewrites(
@@ -155,24 +164,17 @@ def _expansion_rewrites(
             right += 1
         if left == t and right == t:
             continue
-        yield _collapse(cand, left, right + 1, slot, tok, "expansion")
+        yield cand.collapse(left, right + 1, slot, tok, "expansion")
 
 
 def generate_rewrites(
     cand: Candidate, parse: ParseResult, table: TokenTable, config: EngineConfig
 ) -> list[Candidate]:
-    """All distinct single-move rewrites of one candidate, span moves first."""
-    out: list[Candidate] = []
-    seen: set[tuple] = set()
-    for child in (
+    """Every single-move rewrite of one candidate, span moves first."""
+    return [
         *_span_rewrites(cand, parse, table, config),
         *_expansion_rewrites(cand, parse, table, config),
-    ):
-        if child.key() in seen:
-            continue
-        seen.add(child.key())
-        out.append(child)
-    return out
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +214,6 @@ def project_labels(
 # the loop
 
 
-def _tie_key(cand: Candidate) -> tuple:
-    align = tuple(
-        (e.start, e.end, e.slot_type) if e is not None else (-1, -1, "")
-        for e in cand.alignment
-    )
-    return (cand.tokens, align)
-
-
-class _Best:
-    """Tracks the argmax candidate; ties break toward the smaller tie key so
-    the winner does not depend on evaluation order."""
-
-    def __init__(self) -> None:
-        self.cand: Optional[Candidate] = None
-        self.parse: Optional[ParseResult] = None
-        self.score = float("-inf")
-
-    def offer(self, cand: Candidate, parse: ParseResult, value: float) -> None:
-        if self.cand is None or value > self.score or (
-            value == self.score and _tie_key(cand) < _tie_key(self.cand)
-        ):
-            self.cand, self.parse, self.score = cand, parse, value
-
-
 def iterative_parse(
     tokens: Sequence[str],
     backend: Backend,
@@ -248,60 +226,49 @@ def iterative_parse(
     if not source:
         raise ValueError("cannot run inference on an empty utterance")
 
-    parse_cache: dict[tuple[str, ...], ParseResult] = {}
-
-    def evaluate(cand: Candidate) -> tuple[ParseResult, float]:
-        parse = parse_cache.get(cand.tokens)
-        if parse is None:
-            parse = backend.parse(cand.tokens)
-            parse_cache[cand.tokens] = parse
-        return parse, score(parse, entropy_floor=config.entropy_floor)
-
-    best = _Best()
+    parses: dict[tuple[str, ...], ParseResult] = {}
     seen: set[tuple] = set()
-    trace: list[TraceEntry] = []
-    evaluated = 0
+    evaluations: list[tuple[int, float, Candidate]] = []
 
-    frontier: list[tuple[Candidate, ParseResult, float]] = []
-    for cand in seed_candidates(source, gazetteer, table, cap=config.seed_cap):
-        if cand.key() in seen:
-            continue
-        seen.add(cand.key())
-        parse, value = evaluate(cand)
-        evaluated += 1
-        trace.append(TraceEntry(0, value, cand.provenance, cand.tokens))
-        best.offer(cand, parse, value)
-        frontier.append((cand, parse, value))
-    frontier.sort(key=lambda item: -item[2])
-    del frontier[config.top_k:]
+    def evaluate(iteration: int, cands: Iterable[Candidate]) -> list[tuple[int, float, Candidate]]:
+        """Log every candidate not seen before; returns the new entries."""
+        start = len(evaluations)
+        for cand in cands:
+            key = cand.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            parse = parses.get(cand.tokens)
+            if parse is None:
+                parse = parses[cand.tokens] = backend.parse(cand.tokens)
+            evaluations.append((iteration, score(parse), cand))
+        return evaluations[start:]
 
-    iterations = 0
-    while any(cand.natural_count > 0 for cand, _, _ in frontier):
-        iterations += 1
-        previous_best = best.score
-        round_items: list[tuple[Candidate, ParseResult, float]] = []
-        for cand, parse, _ in frontier:
-            for child in generate_rewrites(cand, parse, table, config):
+    def beam(entries: list[tuple[int, float, Candidate]]) -> list[Candidate]:
+        """The top_k candidates by score, earlier entries first among equals."""
+        ranked = sorted(entries, key=lambda entry: -entry[1])
+        return [cand for _, _, cand in ranked[:config.top_k]]
+
+    def children(frontier: list[Candidate]) -> Iterable[Candidate]:
+        for cand in frontier:
+            for child in generate_rewrites(cand, parses[cand.tokens], table, config):
+                # every move consumes a natural token, so the loop ends within n rounds
                 assert child.natural_count < cand.natural_count
-                if child.key() in seen:
-                    continue
-                seen.add(child.key())
-                child_parse, child_value = evaluate(child)
-                evaluated += 1
-                trace.append(
-                    TraceEntry(iterations, child_value, child.provenance, child.tokens)
-                )
-                best.offer(child, child_parse, child_value)
-                round_items.append((child, child_parse, child_value))
-        if not round_items:
-            break
-        if max(value for _, _, value in round_items) <= previous_best:
-            break
-        frontier = sorted(round_items, key=lambda item: -item[2])
-        del frontier[config.top_k:]
+                yield child
 
-    assert best.cand is not None and best.parse is not None
-    labels, repairs = project_labels(best.cand, best.parse)
+    frontier = beam(evaluate(0, seed_candidates(source, gazetteer, table, cap=config.seed_cap)))
+    iterations = 0
+    while any(cand.natural_count > 0 for cand in frontier):
+        iterations += 1
+        previous_best = max(value for _, value, _ in evaluations)
+        fresh = evaluate(iterations, children(frontier))
+        if not fresh or max(value for _, value, _ in fresh) <= previous_best:
+            break
+        frontier = beam(fresh)
+
+    _, best_score, best = min(evaluations, key=lambda entry: (-entry[1], entry[2].key()))
+    parse = parses[best.tokens]
+    labels, repairs = project_labels(best, parse)
     if repairs:
         log.warning(
             "projection repaired %d orphan inside label(s) for %r",
@@ -310,13 +277,12 @@ def iterative_parse(
         )
     return InferenceOutcome(
         source_tokens=source,
-        best=best.cand,
-        parse=best.parse,
+        best=best,
+        parse=parse,
         labels=labels,
-        intent=best.parse.predicted_intent,
-        score=best.score,
+        intent=parse.predicted_intent,
+        score=best_score,
         iterations_run=iterations,
-        candidates_evaluated=evaluated,
         repairs=repairs,
-        trace=tuple(trace),
+        evaluations=tuple(evaluations),
     )

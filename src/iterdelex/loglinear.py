@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,6 +62,20 @@ def _slot_feature_names(cur: str, prev: str, nxt: str, special: bool) -> list[st
 def _bag_feature(token: str) -> str:
     """The intent feature of one normalized token."""
     return f"tok={token}"
+
+
+def _norm(token: str, vocab: AbstractSet[str]) -> str:
+    return token if token in vocab else _UNK
+
+
+def _position_features(
+    tokens: Sequence[str], t: int, vocab: AbstractSet[str], special_tokens: AbstractSet[str]
+) -> list[str]:
+    """The slot features of position ``t``, named."""
+    cur = _norm(tokens[t], vocab)
+    prev = _norm(tokens[t - 1], vocab) if t > 0 else _BOS
+    nxt = _norm(tokens[t + 1], vocab) if t + 1 < len(tokens) else _EOS
+    return _slot_feature_names(cur, prev, nxt, tokens[t] in special_tokens)
 
 
 @dataclass(frozen=True)
@@ -157,16 +171,7 @@ class LogLinearBackend(Backend):
         self.params = params
         self._build_id_tables()
 
-    # -- feature templates -------------------------------------------------
-
-    def _norm(self, token: str) -> str:
-        return token if token in self.vocab else _UNK
-
-    def _position_features(self, tokens: Sequence[str], t: int) -> list[str]:
-        cur = self._norm(tokens[t])
-        prev = self._norm(tokens[t - 1]) if t > 0 else _BOS
-        nxt = self._norm(tokens[t + 1]) if t + 1 < len(tokens) else _EOS
-        return _slot_feature_names(cur, prev, nxt, tokens[t] in self.special_tokens)
+    # -- id tables -----------------------------------------------------------
 
     def _build_id_tables(self) -> None:
         slot_index = {name: i for i, name in enumerate(self.slot_features)}
@@ -186,7 +191,7 @@ class LogLinearBackend(Backend):
         # its own previous and next token
         names = []
         for tok in known:
-            norm = self._norm(tok)
+            norm = _norm(tok, self.vocab)
             names.append(_slot_feature_names(norm, norm, norm, tok in self.special_tokens))
         names.append(_slot_feature_names(_UNK, _UNK, _UNK, False))  # other
         names.append(_slot_feature_names(_UNK, _BOS, _EOS, False))  # boundary
@@ -194,7 +199,7 @@ class LogLinearBackend(Backend):
         bias, self._cur_rows, self._prev_rows, self._next_rows, self._special_rows = rows.T.copy()
         self._bias_row = int(bias[0])
         self._bag_columns = np.array(
-            [intent_index.get(_bag_feature(self._norm(tok)), no_column) for tok in known]
+            [intent_index.get(_bag_feature(_norm(tok, self.vocab)), no_column) for tok in known]
             + [intent_index.get(_bag_feature(_UNK), no_column), no_column]
         )
 
@@ -217,20 +222,7 @@ class LogLinearBackend(Backend):
             for tok in utt.tokens:
                 counts[tok] = counts.get(tok, 0) + 1
         vocab = sorted(t for t, c in counts.items() if c >= params.min_count)
-
-        # assemble the model shell first so feature extraction is shared
-        # between training and inference
-        shell = cls(
-            label_set=corpus.label_set,
-            intent_set=corpus.intent_set,
-            vocab=vocab,
-            slot_features=(),
-            slot_weights=np.zeros((0, 0)),
-            intent_features=(),
-            intent_weights=np.zeros((0, 0)),
-            special_tokens=params.special_tokens,
-            params=params,
-        )
+        vocab_set, specials = frozenset(vocab), frozenset(params.special_tokens)
 
         label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
         rows: list[list[str]] = []
@@ -238,7 +230,7 @@ class LogLinearBackend(Backend):
         for utt in corpus:
             assert utt.gold_labels is not None
             for t, gold in enumerate(utt.gold_labels):
-                rows.append(shell._position_features(utt.tokens, t))
+                rows.append(_position_features(utt.tokens, t, vocab_set, specials))
                 targets.append(label_index[gold])
 
         feature_names = {name for row in rows for name in row}
@@ -272,7 +264,7 @@ class LogLinearBackend(Backend):
         for utt in corpus:
             bag: dict[int, float] = {0: 1.0}
             for tok in utt.tokens:
-                fid = intent_index.get(_bag_feature(shell._norm(tok)))
+                fid = intent_index.get(_bag_feature(_norm(tok, vocab_set)))
                 if fid is not None:
                     bag[fid] = bag.get(fid, 0.0) + 1.0
             for fid in sorted(bag):

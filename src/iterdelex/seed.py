@@ -79,8 +79,17 @@ class Candidate:
         return sum(1 for e in self.alignment if e is None)
 
     def key(self) -> tuple:
-        """Identity for deduplication; provenance is bookkeeping, not identity."""
-        return (self.tokens, self.alignment)
+        """Orderable identity, for deduplication and for breaking score ties:
+        the tokens, then each token's original span, a natural token as
+        ``(-1, -1, "")`` so that it sorts before any placeholder. Provenance
+        is bookkeeping, not identity."""
+        return (
+            self.tokens,
+            tuple(
+                (-1, -1, "") if e is None else (e.start, e.end, e.slot_type)
+                for e in self.alignment
+            ),
+        )
 
     def source_extents(self) -> tuple[tuple[int, int], ...]:
         """Per-token half-open ranges into the original utterance."""
@@ -94,6 +103,19 @@ class Candidate:
                 extents.append((entry.start, entry.end))
                 cursor = entry.end
         return tuple(extents)
+
+    def collapse(
+        self, start: int, end: int, slot_type: str, surface: str, provenance: str
+    ) -> Candidate:
+        """Replace tokens [start, end) by the placeholder ``surface``, aligned
+        to every original token they stand for, as ``slot_type``."""
+        extents = self.source_extents()
+        merged = Span(extents[start][0], extents[end - 1][1], slot_type)
+        return Candidate(
+            self.tokens[:start] + (surface,) + self.tokens[end:],
+            self.alignment[:start] + (merged,) + self.alignment[end:],
+            provenance,
+        )
 
 
 def original_candidate(tokens: Sequence[str]) -> Candidate:
@@ -124,24 +146,6 @@ def find_matches(tokens: Sequence[str], gazetteer: Gazetteer) -> tuple[Span, ...
     return tuple(sorted(matches))
 
 
-def _substitute(
-    tokens: Sequence[str], spans: Sequence[Span], table: TokenTable, provenance: str
-) -> Candidate:
-    """Replace each span (sorted, non-overlapping) with its placeholder."""
-    out_tokens: list[str] = []
-    out_align: list[Optional[Span]] = []
-    cursor = 0
-    for span in spans:
-        out_tokens.extend(tokens[cursor:span.start])
-        out_align.extend([None] * (span.start - cursor))
-        out_tokens.append(table.surface_for(span.slot_type))
-        out_align.append(span)
-        cursor = span.end
-    out_tokens.extend(tokens[cursor:])
-    out_align.extend([None] * (len(tokens) - cursor))
-    return Candidate(tuple(out_tokens), tuple(out_align), provenance)
-
-
 def seed_candidates(
     tokens: Sequence[str],
     gazetteer: Gazetteer,
@@ -159,12 +163,18 @@ def seed_candidates(
     if cap < 1:
         raise ValueError("seed cap must be at least 1")
     matches = find_matches(tokens, gazetteer)
-    seeds = [original_candidate(tokens)]
+    original = original_candidate(tokens)
+    seeds = [original]
     for size in range(len(matches), 0, -1):
         for combo in combinations(range(len(matches)), size):
             if len(seeds) >= cap:
                 return tuple(seeds)
-            seeds.append(
-                _substitute(tokens, [matches[i] for i in combo], table, "seed")
-            )
+            seed = original
+            # right to left, so the positions of the matches still to come
+            # are their original ones
+            for i in reversed(combo):
+                span = matches[i]
+                surface = table.surface_for(span.slot_type)
+                seed = seed.collapse(span.start, span.end, span.slot_type, surface, "seed")
+            seeds.append(seed)
     return tuple(seeds)

@@ -145,9 +145,13 @@ def _children(cand: Cand, parse, specials, surface_of, ood, tau) -> list[Cand]:
 
 
 def brute_force_parse(tokens, backend, phrase_to_slot, surface_of, specials,
-                      ood, tau, floor: float = 1e-12):
+                      ood, tau, floor: float = 1e-12, top_k=None, seed_cap=None):
     """Exhaustive gated search. Returns (best_tokens, best_score, iterations,
-    evaluated_count)."""
+    evaluated_count).
+
+    ``top_k`` keeps only the best candidates of each round for the next,
+    earlier ones first among equal scores, and ``seed_cap`` only the first
+    seeds; left at None, neither bounds the search."""
     max_len = max((len(p) for p in phrase_to_slot), default=0)
     seen: set[Cand] = set()
     parses: dict[tuple[str, ...], object] = {}
@@ -170,9 +174,12 @@ def brute_force_parse(tokens, backend, phrase_to_slot, surface_of, specials,
         ):
             best_cand, best_score = cand, value
 
+    def beam(cands: list[Cand]) -> list[Cand]:
+        return sorted(cands, key=lambda c: -ref_score(parse_of(c), floor))[:top_k]
+
     frontier: list[Cand] = []
     evaluated = 0
-    for cand in _seed_set(tuple(tokens), phrase_to_slot, max_len, surface_of):
+    for cand in _seed_set(tuple(tokens), phrase_to_slot, max_len, surface_of)[:seed_cap]:
         if cand in seen:
             continue
         seen.add(cand)
@@ -180,6 +187,7 @@ def brute_force_parse(tokens, backend, phrase_to_slot, surface_of, specials,
         evaluated += 1
         offer(cand, value)
         frontier.append(cand)
+    frontier = beam(frontier)
 
     iterations = 0
     while any(naturals(c) > 0 for c in frontier):
@@ -199,7 +207,7 @@ def brute_force_parse(tokens, backend, phrase_to_slot, surface_of, specials,
             break
         if max(ref_score(parse_of(c), floor) for c in fresh) <= previous:
             break
-        frontier = fresh
+        frontier = beam(fresh)
 
     assert best_cand is not None
     return best_cand[0], best_score, iterations, evaluated

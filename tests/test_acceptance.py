@@ -182,7 +182,7 @@ def test_criterion_03_oracle_equivalence():
         kept += 1
         cfg = EngineConfig(ood_slots=ood, tau=tau, top_k=10_000, seed_cap=10_000)
         outcome = iterative_parse(tokens, backend, gazetteer, table, cfg)
-        best_tokens, best_score, _, _ = oracle.brute_force_parse(
+        best_tokens, best_score, iterations, evaluated = oracle.brute_force_parse(
             tokens,
             backend,
             phrase_to_slot=dict(phrases),
@@ -193,11 +193,41 @@ def test_criterion_03_oracle_equivalence():
         )
         assert outcome.score == best_score, (tokens, outcome.score, best_score)
         assert outcome.best.tokens == best_tokens
+        assert outcome.iterations_run == iterations, (tokens, outcome.iterations_run)
+        assert outcome.candidates_evaluated == evaluated, (tokens, outcome.candidates_evaluated)
     elapsed = time.perf_counter() - started
     assert kept >= 200, f"only {kept} usable instances generated"
     assert elapsed < 60.0
     report(3, f"{kept} instances (n <= 6, <= 2 seed matches): engine best score "
-              f"bit-equal to exhaustive reachable-set maximum; {elapsed:.1f}s < 60s")
+              "bit-equal to exhaustive reachable-set maximum, same iterations and "
+              f"candidate count; {elapsed:.1f}s < 60s")
+
+
+def test_bounded_search_agrees_with_oracle():
+    # with a binding beam and seed cap, which candidates survive a round
+    # decides what is evaluated next, down to how ties at the cut break
+    rng = random.Random(3113)
+    for _ in range(300):
+        tokens, backend, gazetteer, table, slots, phrases, ood, tau = random_world(
+            rng, max_tokens=8, max_phrases=4
+        )
+        top_k, seed_cap = rng.randint(1, 3), rng.randint(1, 5)
+        cfg = EngineConfig(ood_slots=ood, tau=tau, top_k=top_k, seed_cap=seed_cap)
+        outcome = iterative_parse(tokens, backend, gazetteer, table, cfg)
+        expected = oracle.brute_force_parse(
+            tokens,
+            backend,
+            phrase_to_slot=dict(phrases),
+            surface_of={s: f"<{s}>" for s in slots},
+            specials={f"<{s}>": s for s in slots},
+            ood=set(ood),
+            tau=tau,
+            top_k=top_k,
+            seed_cap=seed_cap,
+        )
+        got = (outcome.best.tokens, outcome.score, outcome.iterations_run,
+               outcome.candidates_evaluated)
+        assert got == expected, (tokens, top_k, seed_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ plus config files and exit codes (0 success, 1 validation, 2 I/O)."""
 import dataclasses
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -358,3 +359,20 @@ class TestReadme:
         unknown = sorted((cmd, flag) for cmd, flag in flags
                          if flag not in subparsers[cmd]._option_string_actions)
         assert unknown == []
+
+    def test_library_snippet_runs(self, workspace, tmp_path, monkeypatch, capsys):
+        block = README.read_text().split("## Library")[1].split("```python\n")[1].split("```")[0]
+        (tmp_path / "run").mkdir()
+        for name in ("model", "gazetteer"):
+            shutil.copy(workspace[name], tmp_path / "run")
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        exec(block, namespace)
+        outcome = namespace["outcome"]
+        printed = capsys.readouterr().out
+        assert printed == (f"{outcome.intent} {outcome.labels} {outcome.best.tokens}\n"
+                           f"{outcome.trace_text()}\n")
+        trace = outcome.trace_text().splitlines()
+        assert len(trace) == outcome.candidates_evaluated
+        assert trace[0].startswith("iter0\t")
+        assert len(outcome.labels) == 8

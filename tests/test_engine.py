@@ -85,7 +85,6 @@ class TestEngineConfig:
             dict(tau=-0.1),
             dict(top_k=0),
             dict(seed_cap=0),
-            dict(entropy_floor=0.0),
         ],
     )
     def test_validation(self, kwargs):

@@ -76,6 +76,13 @@ class TestCandidate:
         assert a.key() == b.key()
         assert a != b
 
+    def test_key_orders_natural_token_before_placeholder(self):
+        # a natural token spelled like a placeholder ties with that
+        # placeholder on tokens; the alignment then decides
+        natural = original_candidate(("<s>", "x"))
+        placeholder = Candidate(("<s>", "x"), (Span(0, 1, "s"), None), "seed")
+        assert natural.key() < placeholder.key()
+
 
 class TestFindMatches:
     def test_simple_match(self):
