@@ -219,6 +219,10 @@ def _load_conll(path: Path, state: _LoaderState) -> None:
         state.add(tokens, labels, intent)
 
 
+def _is_string_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _load_jsonl(path: Path, state: _LoaderState) -> None:
     with path.open("r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
@@ -229,22 +233,31 @@ def _load_jsonl(path: Path, state: _LoaderState) -> None:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if "tokens" not in record or not record["tokens"]:
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: record is not a JSON object")
+            tokens = record.get("tokens")
+            if not tokens:
                 raise ValueError(f"{path}:{lineno}: record has no tokens")
-            tokens = [str(t) for t in record["tokens"]]
+            if not _is_string_list(tokens):
+                raise ValueError(f"{path}:{lineno}: 'tokens' is not an array of strings")
             labels: Optional[list[SlotLabel]] = None
-            if record.get("labels") is not None:
-                raw_labels = record["labels"]
+            raw_labels = record.get("labels")
+            if raw_labels is not None:
+                if not _is_string_list(raw_labels):
+                    raise ValueError(f"{path}:{lineno}: 'labels' is not an array of strings")
                 if len(raw_labels) != len(tokens):
                     raise ValueError(
                         f"{path}:{lineno}: record {lineno} has {len(tokens)} tokens "
                         f"but {len(raw_labels)} labels"
                     )
                 try:
-                    labels = [SlotLabel.parse(str(s)) for s in raw_labels]
+                    labels = [SlotLabel.parse(s) for s in raw_labels]
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            state.add(tokens, labels, record.get("intent"))
+            intent = record.get("intent")
+            if intent is not None and not isinstance(intent, str):
+                raise ValueError(f"{path}:{lineno}: 'intent' is not a string")
+            state.add(tokens, labels, intent)
 
 
 def load_dataset(path: str | Path, fmt: str = "auto", *, lowercase: bool = True) -> Dataset:

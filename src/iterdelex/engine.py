@@ -54,7 +54,7 @@ class EngineConfig:
     seed_cap: int = DEFAULT_SEED_CAP
 
     def __post_init__(self) -> None:
-        if self.tau < 0:
+        if not self.tau >= 0:  # rejects NaN too
             raise ValueError("tau must be non-negative")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")

@@ -37,7 +37,6 @@ from typing import AbstractSet, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from iterdelex.backend import Backend, ParseResult
 from iterdelex.corpus import Dataset, SlotLabel
@@ -92,41 +91,42 @@ class TrainingParams:
             raise ValueError("min_count must be at least 1")
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _softmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite each row of ``scores`` with its softmax. Returns the columns of row
+    maxima and of sums of ``exp(score - max)``; a row's log-normalizer is max + log(sum)."""
+    top = np.maximum.reduce(scores, axis=1, keepdims=True)
+    scores -= top
+    np.exp(scores, out=scores)
+    total = np.add.reduce(scores, axis=1, keepdims=True)
+    scores /= total
+    return top, total
+
+
+def _objective(flat: np.ndarray, x: sp.csr_matrix, y: np.ndarray, l2: float):
+    """Mean cross-entropy + l2*||W||^2 (bias row unregularized) of a softmax model
+    over design ``x`` and targets ``y`` at the flattened weights, and its gradient."""
+    n, n_features = x.shape
+    w = flat.reshape(n_features, -1)
+    probs = x @ w
+    rows = np.arange(n)
+    target = probs[rows, y]
+    top, total = _softmax_rows(probs)  # the scores become probabilities
+    nll = (top[:, 0] + np.log(total[:, 0]) - target).mean()
+    probs[rows, y] -= 1.0  # now the nll's gradient in the scores, times n
+    reg_mask = (np.arange(n_features) > 0)[:, None]  # feature 0, the bias, is exempt
+    grad = (x.T @ probs) / n + 2.0 * l2 * (reg_mask * w)
+    loss = nll + l2 * float((reg_mask * w * w).sum())
+    return loss, grad.ravel()
 
 
 def _fit_softmax(
     x: sp.csr_matrix, y: np.ndarray, n_classes: int, l2: float, max_iter: int
 ) -> np.ndarray:
-    """Minimize mean cross-entropy + l2*||W||^2 (bias row unregularized)."""
-    n_features = x.shape[1]
-    n = x.shape[0]
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    reg_mask = np.ones((n_features, 1))
-    reg_mask[0, 0] = 0.0  # feature 0 is the bias
-
-    def objective(flat: np.ndarray):
-        w = flat.reshape(n_features, n_classes)
-        scores = x @ w
-        log_z = logsumexp(scores, axis=1)
-        nll = (log_z - scores[np.arange(n), y]).mean()
-        probs = np.exp(scores - log_z[:, None])
-        grad = (x.T @ (probs - onehot)) / n + 2.0 * l2 * (reg_mask * w)
-        loss = nll + l2 * float((reg_mask * w * w).sum())
-        return loss, grad.ravel()
-
     result = minimize(
-        objective,
-        np.zeros(n_features * n_classes),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-8},
+        _objective, np.zeros(x.shape[1] * n_classes), args=(x, y, l2), jac=True,
+        method="L-BFGS-B", options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-8},
     )
-    return result.x.reshape(n_features, n_classes)
+    return result.x.reshape(x.shape[1], n_classes)
 
 
 def _weight_matrix(
@@ -303,20 +303,20 @@ class LogLinearBackend(Backend):
         own = ids[1:-1]
         w = self._slot_rows
         # the order of the additions is the template order, as in training
-        scores = (
+        dists = (
             w[self._bias_row]
             + w[self._cur_rows[own]]
             + w[self._prev_rows[ids[:-2]]]
             + w[self._next_rows[ids[2:]]]
             + w[self._special_rows[own]]
         )
-        dists = _softmax_rows(scores)
+        _softmax_rows(dists)  # the scores become probabilities
 
         n_bag = len(self.intent_features)
         bag = np.bincount(self._bag_columns[own], minlength=n_bag + 1)[:n_bag].astype(float)
         bag[0] += 1.0
-        intent_scores = bag @ self.intent_weights
-        intent_dist = _softmax_rows(intent_scores[None, :])[0]
+        intent_dist = bag @ self.intent_weights
+        _softmax_rows(intent_dist[None, :])
         return ParseResult.from_distributions(
             self.label_set, self.intent_set, dists, intent_dist
         )

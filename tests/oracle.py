@@ -13,6 +13,10 @@ for a placeholder covering original span [start, end).
 ``reference_parse`` is the log-linear tagger's parse computed from named
 features, one position at a time, as the backend did before it parsed
 through id tables; the backend must match it bit for bit.
+
+``reference_objective`` is the tagger's training objective as it was
+computed with scipy's ``logsumexp``, a second ``exp`` and a dense one-hot
+target matrix; the backend's objective must match it to rounding.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from scipy.special import logsumexp
 
 from iterdelex.backend import ParseResult
 
@@ -264,3 +269,22 @@ def reference_parse(backend, tokens) -> ParseResult:
         predicted_intent=backend.intent_set[int(intent_dist.argmax())],
         token_entropies=np.array([_row_entropy(row) for row in dists]),
     )
+
+
+def reference_objective(flat, x, y, l2):
+    """Mean cross-entropy + l2*||W||^2 (bias row unregularized) of a softmax
+    model over the sparse design ``x`` and targets ``y`` at the flattened
+    weights ``flat``, and its gradient."""
+    n, n_features = x.shape
+    w = flat.reshape(n_features, -1)
+    onehot = np.zeros((n, w.shape[1]))
+    onehot[np.arange(n), y] = 1.0
+    reg_mask = np.ones((n_features, 1))
+    reg_mask[0, 0] = 0.0
+    scores = x @ w
+    log_z = logsumexp(scores, axis=1)
+    nll = (log_z - scores[np.arange(n), y]).mean()
+    probs = np.exp(scores - log_z[:, None])
+    grad = (x.T @ (probs - onehot)) / n + 2.0 * l2 * (reg_mask * w)
+    loss = nll + l2 * float((reg_mask * w * w).sum())
+    return loss, grad.ravel()

@@ -93,6 +93,12 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
         assert "labels and intents" in capsys.readouterr().err
 
+    def test_malformed_record_rejected(self, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_text('{"tokens": 5}\n')
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+        assert "bad.jsonl:1: 'tokens' is not an array of strings" in capsys.readouterr().err
+
     def test_missing_data_is_io_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "run")]) == 2
@@ -155,6 +161,18 @@ class TestInfer:
                                ["--baseline", "--trace", str(tmp_path / "t.txt")]))
         assert code == 1
         assert "drop --baseline" in capsys.readouterr().err
+
+    def test_malformed_record_rejected(self, workspace, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_text('{"tokens": ["call", null]}\n')
+        code = main(infer_args({**workspace, "test": data}, tmp_path / "pred.jsonl"))
+        assert code == 1
+        assert "bad.jsonl:1: 'tokens' is not an array of strings" in capsys.readouterr().err
+
+    def test_nan_tau_rejected(self, workspace, tmp_path, capsys):
+        out = tmp_path / "pred.jsonl"
+        assert main(infer_args(workspace, out, ["--ood-slots", "message", "--tau", "nan"])) == 1
+        assert "tau must be non-negative" in capsys.readouterr().err
 
     def test_unknown_ood_slot_rejected(self, workspace, tmp_path, capsys):
         out = tmp_path / "pred.jsonl"

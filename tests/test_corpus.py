@@ -172,6 +172,26 @@ class TestIO:
         with pytest.raises(ValueError, match="2 tokens"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ("5", "record is not a JSON object"),
+            ('["call"]', "record is not a JSON object"),
+            ('{"tokens": 5}', "'tokens' is not an array of strings"),
+            ('{"tokens": "call"}', "'tokens' is not an array of strings"),
+            ('{"tokens": ["call", null]}', "'tokens' is not an array of strings"),
+            ('{"tokens": ["call", 5]}', "'tokens' is not an array of strings"),
+            ('{"tokens": ["a"], "labels": 5}', "'labels' is not an array of strings"),
+            ('{"tokens": ["a"], "labels": [null]}', "'labels' is not an array of strings"),
+            ('{"tokens": ["a"], "intent": 5}', "'intent' is not a string"),
+        ],
+    )
+    def test_jsonl_malformed_record_names_file_and_line(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"tokens": ["ok"]}\n' + record + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.jsonl:2: {message}"):
+            load_dataset(path)
+
     def test_jsonl_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json}\n")

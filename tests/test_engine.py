@@ -85,11 +85,15 @@ class TestEngineConfig:
             dict(tau=-0.1),
             dict(top_k=0),
             dict(seed_cap=0),
+            dict(tau=float("nan")),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             EngineConfig(ood_slots=("msg",), **kwargs)
+
+    def test_infinite_tau_allowed(self):
+        assert EngineConfig(ood_slots=("msg",), tau=float("inf")).tau == float("inf")
 
 
 class TestTraceEntry:

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from iterdelex.corpus import Dataset, SlotLabel, Utterance
-from iterdelex.loglinear import LogLinearBackend, TrainingParams
+from iterdelex.corpus import Dataset, SlotLabel, Utterance, repair_bio
+from iterdelex.loglinear import LogLinearBackend, TrainingParams, _objective
 
 
 def labels(*texts):
@@ -81,6 +82,76 @@ class TestTraining:
     def test_bias_feature_present(self, backend):
         assert backend.slot_features[0] == "bias"
         assert "cur=call" in backend.slot_features
+
+    def test_retraining_writes_identical_bytes(self, tmp_path):
+        words = ["call", "play", "alice", "bob", "jazz", "now", "<contact>", "<genre>"]
+        tags = ["O", "B-contact", "I-contact", "B-genre", "I-genre"]
+        tagged = st.lists(st.tuples(st.sampled_from(words), st.sampled_from(tags)),
+                          min_size=1, max_size=6)
+
+        @settings(max_examples=25, deadline=None)
+        @given(
+            st.lists(st.tuples(tagged, st.sampled_from(["call", "play", "clock"])),
+                     min_size=1, max_size=12),
+            st.integers(1, 2),
+        )
+        def check(rows, min_count):
+            utts = [utt("call alice", "O B-contact", "call")]  # at least 2 labels
+            for pairs, intent in rows:
+                toks, tags_ = zip(*pairs)
+                utts.append(Utterance(toks, repair_bio(labels(*tags_))[0], intent))
+            corpus = Dataset.from_utterances(utts)
+            params = TrainingParams(min_count=min_count, special_tokens=("<contact>", "<genre>"))
+            first, second = tmp_path / "a.json", tmp_path / "b.json"
+            LogLinearBackend.train(corpus, params).save(first)
+            LogLinearBackend.train(corpus, params).save(second)
+            assert first.read_bytes() == second.read_bytes()
+
+        check()
+
+
+@st.composite
+def objective_cases(draw):
+    """A random sparse design (column 0 the bias), targets, flattened weights
+    and l2. The weights are all zero (every row's classes tie), small, wide,
+    or put every score near +700 or -700."""
+    n, n_features = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    k = draw(st.integers(2, 21))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.integers(0, 4, size=(n, n_features)) * (rng.random((n, n_features)) < 0.2)
+    dense[:, 0] = 1
+    y = rng.integers(0, k, size=n)
+    kind = draw(st.sampled_from(["zero", "small", "wide", "extreme"]))
+    if kind == "zero":
+        w = np.zeros((n_features, k))
+    elif kind == "extreme":
+        w = rng.normal(scale=0.1, size=(n_features, k))
+        w[0] += rng.choice([-700.0, 700.0], size=k)
+    else:
+        w = rng.normal(scale=1.0 if kind == "small" else 30.0, size=(n_features, k))
+    l2 = draw(st.sampled_from([0.0, 1e-5, 0.1]))
+    return w.ravel(), sp.csr_matrix(dense.astype(float)), y, l2
+
+
+class TestObjective:
+    @settings(max_examples=300, deadline=None)
+    @given(objective_cases())
+    def test_matches_logsumexp_reference(self, case):
+        loss, grad = _objective(*case)
+        want_loss, want_grad = oracle.reference_objective(*case)
+        assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+        assert np.abs(grad - want_grad).max() <= 1e-12 * max(1.0, np.abs(want_grad).max())
+
+    @settings(max_examples=300, deadline=None)
+    @given(objective_cases(), st.integers(0, 2**32 - 1))
+    def test_gradient_matches_finite_differences(self, case, seed):
+        flat, *rest = case
+        loss, grad = _objective(flat, *rest)
+        step = np.random.default_rng(seed).normal(size=flat.shape)
+        step *= 1e-5 / np.linalg.norm(step)
+        ahead, _ = _objective(flat + step, *rest)
+        behind, _ = _objective(flat - step, *rest)
+        assert abs((ahead - behind) / 2 - grad @ step) <= 1e-11 * max(1.0, abs(loss))
 
 
 class TestUncertaintySignal:
