@@ -203,6 +203,8 @@ def _load_conll(path: Path, state: _LoaderState) -> None:
                 continue
             if line.startswith("#intent="):
                 intent = line[len("#intent="):].strip()
+                if not intent:
+                    raise ValueError(f"{path}:{lineno}: intent name is empty")
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
@@ -257,6 +259,8 @@ def _load_jsonl(path: Path, state: _LoaderState) -> None:
             intent = record.get("intent")
             if intent is not None and not isinstance(intent, str):
                 raise ValueError(f"{path}:{lineno}: 'intent' is not a string")
+            if intent is not None and not intent.strip():
+                raise ValueError(f"{path}:{lineno}: intent name is empty")
             state.add(tokens, labels, intent)
 
 

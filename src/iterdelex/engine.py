@@ -74,24 +74,13 @@ def score(parse: ParseResult, *, entropy_floor: float = DEFAULT_ENTROPY_FLOOR) -
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    iteration: int
-    score: float
-    provenance: str
-    tokens: tuple[str, ...]
-
-    def format(self) -> str:
-        return f"iter{self.iteration}\t{self.score:.6f}\t{self.provenance}\t{' '.join(self.tokens)}"
-
-
-@dataclass(frozen=True)
 class InferenceOutcome:
     """The result of one ``iterative_parse`` call.
 
     ``evaluations`` is the evaluation log: one ``(iteration, score,
     candidate)`` entry per distinct candidate, in evaluation order, with
-    the seeds at iteration 0. ``candidates_evaluated`` and ``trace`` are
-    read from it, and ``trace_text()`` formats it only when called.
+    the seeds at iteration 0. ``candidates_evaluated`` is read from it, and
+    ``trace_text()`` formats it only when called.
     """
 
     source_tokens: tuple[str, ...]
@@ -108,15 +97,13 @@ class InferenceOutcome:
     def candidates_evaluated(self) -> int:
         return len(self.evaluations)
 
-    @property
-    def trace(self) -> tuple[TraceEntry, ...]:
-        return tuple(
-            TraceEntry(iteration, value, cand.provenance, cand.tokens)
+    def trace_text(self) -> str:
+        """One tab-separated line per log entry: iteration, score to six
+        decimals, provenance and the space-joined tokens."""
+        return "".join(
+            f"iter{iteration}\t{value:.6f}\t{cand.provenance}\t{' '.join(cand.tokens)}\n"
             for iteration, value, cand in self.evaluations
         )
-
-    def trace_text(self) -> str:
-        return "".join(entry.format() + "\n" for entry in self.trace)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ deterministic: the same corpus and parameters yield a byte-identical model
 file.
 
 Every position has exactly five one-hot features (bias, cur, prev, next,
-special), named by :func:`_slot_feature_names`. Training builds the named
-features; inference never does. Instead the backend turns the features
-into id tables once, when it is built: every known token (the vocabulary
-and the placeholders) gets a token id, plus one id for any other token and
-one for the boundary beyond either end of the sequence. Per token id, the
-tables hold the weight row of each template, and the intent bag column.
-A feature the model never saw points at a zero row appended to the slot
-weights. A parse then looks each token up once, gathers five weight rows
-per position, adds them in template order and runs one softmax, which
-gives the same bits as summing the named features' rows.
+special), named by :func:`_slot_feature_names`. Training and parsing both
+reach them through token ids: :func:`_id_features` gives every known token
+(the vocabulary and the placeholders) an id, plus one id for any other
+token and one for the boundary beyond either end of a sequence, and names
+each id's features; :func:`_window` says which id each template reads.
+Training sorts the names it observes into the model's features; the
+backend maps each id's names to weight rows once, when it is built, and a
+name the model never saw to a zero row. A parse looks each token up once,
+gathers five weight rows per position, adds them in template order and
+runs one softmax, which gives the same bits as summing the named rows.
 
 This deliberately stays small and dependency-free, and it exhibits the
 property the rewrite engine relies on: tokens seen in context during
@@ -63,18 +63,36 @@ def _bag_feature(token: str) -> str:
     return f"tok={token}"
 
 
-def _norm(token: str, vocab: AbstractSet[str]) -> str:
-    return token if token in vocab else _UNK
+def _id_features(
+    vocab: AbstractSet[str], special_tokens: AbstractSet[str]
+) -> tuple[dict[str, int], list[tuple[str, ...]], list[str | None]]:
+    """The ids of the known tokens, in sorted order (id ``len(ids)`` is any
+    other token, ``len(ids) + 1`` the boundary); per slot template, each id's
+    feature name in it; and each id's intent bag feature, None for the
+    boundary. A token's name in a template is the one it has when it is also
+    its own previous and next token."""
+    known = sorted(vocab | special_tokens)
+    norms = [tok if tok in vocab else _UNK for tok in known]
+    rows = [_slot_feature_names(n, n, n, tok in special_tokens) for tok, n in zip(known, norms)]
+    rows.append(_slot_feature_names(_UNK, _UNK, _UNK, False))  # other
+    rows.append(_slot_feature_names(_UNK, _BOS, _EOS, False))  # boundary
+    bags = [_bag_feature(n) for n in norms] + [_bag_feature(_UNK), None]
+    return {tok: i for i, tok in enumerate(known)}, list(zip(*rows)), bags
 
 
-def _position_features(
-    tokens: Sequence[str], t: int, vocab: AbstractSet[str], special_tokens: AbstractSet[str]
-) -> list[str]:
-    """The slot features of position ``t``, named."""
-    cur = _norm(tokens[t], vocab)
-    prev = _norm(tokens[t - 1], vocab) if t > 0 else _BOS
-    nxt = _norm(tokens[t + 1], vocab) if t + 1 < len(tokens) else _EOS
-    return _slot_feature_names(cur, prev, nxt, tokens[t] in special_tokens)
+def _window(ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The id each slot template reads at each position of ``ids[1:-1]``, in
+    template order: bias, cur and special read the position's own id, prev
+    its left neighbour's and next its right neighbour's."""
+    own = ids[1:-1]
+    return own, own, ids[:-2], ids[2:], own
+
+
+def _columns(features: Sequence[str], names: Sequence[Sequence[str | None]]) -> np.ndarray:
+    """Each name's index in ``features``, or ``len(features)`` for a name not
+    in it, in the shape of ``names``."""
+    index = {name: i for i, name in enumerate(features)}
+    return np.array([[index.get(name, len(features)) for name in row] for row in names])
 
 
 @dataclass(frozen=True)
@@ -85,9 +103,9 @@ class TrainingParams:
     special_tokens: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.l2 < 0:
+        if not self.l2 >= 0:  # rejects NaN too
             raise ValueError("l2 must be non-negative")
-        if self.min_count < 1:
+        if not self.min_count >= 1:
             raise ValueError("min_count must be at least 1")
 
 
@@ -127,6 +145,31 @@ def _fit_softmax(
         method="L-BFGS-B", options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-8},
     )
     return result.x.reshape(x.shape[1], n_classes)
+
+
+_STRING_LISTS = (
+    "labels", "intents", "vocab", "special_tokens", "slot_features", "intent_features"
+)
+
+
+def _check_entries(path: str | Path, payload: dict) -> None:
+    """Raise a ValueError naming the file and the entry unless a model file
+    has every entry, its string lists are lists of strings and its ``params``
+    is an object of numbers. :func:`_weight_matrix` checks the weights."""
+    for entry in (*_STRING_LISTS, "params", "slot_weights", "intent_weights"):
+        if entry not in payload:
+            raise ValueError(f"{path}: model file has no {entry!r} entry")
+    for entry in _STRING_LISTS:
+        value = payload[entry]
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"{path}: model entry {entry!r} is not a list of strings")
+    params = payload["params"]
+    if not isinstance(params, dict):
+        raise ValueError(f"{path}: model entry 'params' is not an object")
+    for key in ("l2", "max_iter", "min_count"):
+        value = params.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: model entry 'params' has no numeric {key!r}")
 
 
 def _weight_matrix(
@@ -169,39 +212,20 @@ class LogLinearBackend(Backend):
         self.intent_weights = np.asarray(intent_weights, dtype=float)
         self.special_tokens = frozenset(special_tokens)
         self.params = params
-        self._build_id_tables()
-
-    # -- id tables -----------------------------------------------------------
-
-    def _build_id_tables(self) -> None:
-        slot_index = {name: i for i, name in enumerate(self.slot_features)}
-        absent = len(self.slot_features)  # the zero row appended below
+        self._token_ids, templates, bags = _id_features(self.vocab, self.special_tokens)
+        self._other_id = len(self._token_ids)
+        self._boundary_id = self._other_id + 1
+        # a feature the model never saw has column len(slot_features): a zero row
         self._slot_rows = np.vstack(
             [self.slot_weights, np.zeros((1, self.slot_weights.shape[1]))]
         )
         self.slot_weights = self._slot_rows[:-1]  # a view: the saved weights
-        intent_index = {name: i for i, name in enumerate(self.intent_features)}
-        no_column = len(self.intent_features)  # a bag bin that parse drops
-
-        known = sorted(self.vocab | self.special_tokens)
-        self._token_ids = {tok: i for i, tok in enumerate(known)}
-        self._other_id = len(known)
-        self._boundary_id = len(known) + 1
-        # a token's row in each template is the one it has when it is also
-        # its own previous and next token
-        names = []
-        for tok in known:
-            norm = _norm(tok, self.vocab)
-            names.append(_slot_feature_names(norm, norm, norm, tok in self.special_tokens))
-        names.append(_slot_feature_names(_UNK, _UNK, _UNK, False))  # other
-        names.append(_slot_feature_names(_UNK, _BOS, _EOS, False))  # boundary
-        rows = np.array([[slot_index.get(n, absent) for n in row] for row in names])
-        bias, self._cur_rows, self._prev_rows, self._next_rows, self._special_rows = rows.T.copy()
-        self._bias_row = int(bias[0])
-        self._bag_columns = np.array(
-            [intent_index.get(_bag_feature(_norm(tok, self.vocab)), no_column) for tok in known]
-            + [intent_index.get(_bag_feature(_UNK), no_column), no_column]
+        bias, self._cur_rows, self._prev_rows, self._next_rows, self._special_rows = _columns(
+            self.slot_features, templates
         )
+        self._bias_row = int(bias[0])
+        # column len(intent_features) is a bag bin that parse drops
+        self._bag_columns = _columns(self.intent_features, [bags])[0]
 
     # -- training ----------------------------------------------------------
 
@@ -224,24 +248,25 @@ class LogLinearBackend(Backend):
         vocab = sorted(t for t, c in counts.items() if c >= params.min_count)
         vocab_set, specials = frozenset(vocab), frozenset(params.special_tokens)
 
-        label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
-        rows: list[list[str]] = []
-        targets: list[int] = []
+        token_ids, templates, bags = _id_features(vocab_set, specials)
+        other, boundary = len(token_ids), len(token_ids) + 1
+        ids = [boundary]  # the corpus as one sequence: [b, u1..., b, u2..., b]
         for utt in corpus:
-            assert utt.gold_labels is not None
-            for t, gold in enumerate(utt.gold_labels):
-                rows.append(_position_features(utt.tokens, t, vocab_set, specials))
-                targets.append(label_index[gold])
+            ids.extend(token_ids.get(tok, other) for tok in utt.tokens)
+            ids.append(boundary)
+        window = _window(np.array(ids))
+        kept = window[0] != boundary  # an inner boundary is no position
+        window = tuple(sel[kept] for sel in window)
 
-        feature_names = {name for row in rows for name in row}
+        feature_names = {templates[k][i] for k, sel in enumerate(window) for i in np.unique(sel)}
         # inference-time sentinels must exist even if unseen during training
         feature_names.update(_slot_feature_names(_UNK, _UNK, _UNK, True))
         feature_names.update(_slot_feature_names(_UNK, _BOS, _EOS, False))
         slot_features = ["bias"] + sorted(feature_names - {"bias"})
-        slot_index = {name: i for i, name in enumerate(slot_features)}
 
-        n_rows = len(rows)
-        col_ids = np.array([[slot_index[n] for n in row] for row in rows])
+        n_rows = len(window[0])
+        columns = _columns(slot_features, templates)
+        col_ids = np.stack([col[sel] for col, sel in zip(columns, window)], axis=1)
         x = sp.csr_matrix(
             (
                 np.ones(n_rows * _N_SLOT_FEATURES),
@@ -250,31 +275,25 @@ class LogLinearBackend(Backend):
             ),
             shape=(n_rows, len(slot_features)),
         )
+        label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
+        targets = [label_index[gold] for utt in corpus for gold in utt.gold_labels]
         slot_weights = _fit_softmax(
             x, np.array(targets), len(corpus.label_set), params.l2, params.max_iter
         )
 
-        # intent model: bag-of-token counts
+        # intent model: bag-of-token counts, one entry per token plus the bias,
+        # summed into counts when the COO matrix becomes CSR
         intent_features = ["bias"] + [_bag_feature(t) for t in vocab] + [_bag_feature(_UNK)]
-        intent_index = {name: i for i, name in enumerate(intent_features)}
         intent_targets = np.array(
             [corpus.intent_set.index(utt.gold_intent) for utt in corpus]
         )
-        data, indices, indptr = [], [], [0]
-        for utt in corpus:
-            bag: dict[int, float] = {0: 1.0}
-            for tok in utt.tokens:
-                fid = intent_index.get(_bag_feature(_norm(tok, vocab_set)))
-                if fid is not None:
-                    bag[fid] = bag.get(fid, 0.0) + 1.0
-            for fid in sorted(bag):
-                indices.append(fid)
-                data.append(bag[fid])
-            indptr.append(len(indices))
-        xi = sp.csr_matrix(
-            (np.array(data), np.array(indices), np.array(indptr)),
-            shape=(len(corpus), len(intent_features)),
-        )
+        utts = np.arange(len(corpus))
+        rows = np.concatenate([utts, np.repeat(utts, [len(utt.tokens) for utt in corpus])])
+        bag_columns = _columns(intent_features, [bags])[0]
+        cols = np.concatenate([np.zeros_like(utts), bag_columns[window[1]]])
+        xi = sp.coo_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(len(corpus), len(intent_features))
+        ).tocsr()
         intent_weights = _fit_softmax(
             xi, intent_targets, len(corpus.intent_set), params.l2, params.max_iter
         )
@@ -300,20 +319,20 @@ class LogLinearBackend(Backend):
         ids = np.array(
             [self._boundary_id, *[token_ids.get(tok, other) for tok in tokens], self._boundary_id]
         )
-        own = ids[1:-1]
+        _, cur, prev, nxt, special = _window(ids)
         w = self._slot_rows
         # the order of the additions is the template order, as in training
         dists = (
             w[self._bias_row]
-            + w[self._cur_rows[own]]
-            + w[self._prev_rows[ids[:-2]]]
-            + w[self._next_rows[ids[2:]]]
-            + w[self._special_rows[own]]
+            + w[self._cur_rows[cur]]
+            + w[self._prev_rows[prev]]
+            + w[self._next_rows[nxt]]
+            + w[self._special_rows[special]]
         )
         _softmax_rows(dists)  # the scores become probabilities
 
         n_bag = len(self.intent_features)
-        bag = np.bincount(self._bag_columns[own], minlength=n_bag + 1)[:n_bag].astype(float)
+        bag = np.bincount(self._bag_columns[cur], minlength=n_bag + 1)[:n_bag].astype(float)
         bag[0] += 1.0
         intent_dist = bag @ self.intent_weights
         _softmax_rows(intent_dist[None, :])
@@ -356,6 +375,7 @@ class LogLinearBackend(Backend):
             raise ValueError(f"{path}: not a {FORMAT_NAME} model file")
         if payload.get("version") != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
+        _check_entries(path, payload)
         try:
             params = TrainingParams(
                 l2=payload["params"]["l2"],
@@ -363,24 +383,27 @@ class LogLinearBackend(Backend):
                 min_count=payload["params"]["min_count"],
                 special_tokens=tuple(sorted(payload["special_tokens"])),
             )
+        except ValueError as exc:
+            raise ValueError(f"{path}: model entry 'params': {exc}") from None
+        try:
             labels = tuple(SlotLabel.parse(s) for s in payload["labels"])
-            intents = tuple(payload["intents"])
-            slot_features = payload["slot_features"]
-            intent_features = payload["intent_features"]
-            return cls(
-                label_set=labels,
-                intent_set=intents,
-                vocab=payload["vocab"],
-                slot_features=slot_features,
-                slot_weights=_weight_matrix(
-                    path, payload, "slot_weights", (len(slot_features), len(labels))
-                ),
-                intent_features=intent_features,
-                intent_weights=_weight_matrix(
-                    path, payload, "intent_weights", (len(intent_features), len(intents))
-                ),
-                special_tokens=payload["special_tokens"],
-                params=params,
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}: model file has no {exc.args[0]!r} entry") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: model entry 'labels': {exc}") from None
+        intents = tuple(payload["intents"])
+        slot_features = payload["slot_features"]
+        intent_features = payload["intent_features"]
+        return cls(
+            label_set=labels,
+            intent_set=intents,
+            vocab=payload["vocab"],
+            slot_features=slot_features,
+            slot_weights=_weight_matrix(
+                path, payload, "slot_weights", (len(slot_features), len(labels))
+            ),
+            intent_features=intent_features,
+            intent_weights=_weight_matrix(
+                path, payload, "intent_weights", (len(intent_features), len(intents))
+            ),
+            special_tokens=payload["special_tokens"],
+            params=params,
+        )

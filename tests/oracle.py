@@ -14,6 +14,10 @@ for a placeholder covering original span [start, end).
 features, one position at a time, as the backend did before it parsed
 through id tables; the backend must match it bit for bit.
 
+``reference_design`` builds the tagger's training designs from named
+features, one position at a time, as training did before it went through
+id tables; training must hand its fits the same arrays, bit for bit.
+
 ``reference_objective`` is the tagger's training objective as it was
 computed with scipy's ``logsumexp``, a second ``exp`` and a dense one-hot
 target matrix; the backend's objective must match it to rounding.
@@ -24,6 +28,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from iterdelex.backend import ParseResult
@@ -269,6 +274,65 @@ def reference_parse(backend, tokens) -> ParseResult:
         predicted_intent=backend.intent_set[int(intent_dist.argmax())],
         token_entropies=np.array([_row_entropy(row) for row in dists]),
     )
+
+
+def reference_design(corpus, special_tokens, min_count):
+    """The slot and intent training designs of a ``LogLinearBackend`` from
+    named features. Returns ``(slot_features, x, y, xi, yi)``: the sorted
+    slot feature names, the slot design (five features per position, in
+    template order) and targets, and the intent design (bias plus token
+    counts per utterance) and targets."""
+    counts = {}
+    for utt in corpus:
+        for tok in utt.tokens:
+            counts[tok] = counts.get(tok, 0) + 1
+    vocab = sorted(t for t, c in counts.items() if c >= min_count)
+
+    def norm(tok):
+        return tok if tok in counts and counts[tok] >= min_count else "<unk>"
+
+    label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
+    rows, targets = [], []
+    for utt in corpus:
+        toks, n = utt.tokens, len(utt.tokens)
+        for t, gold in enumerate(utt.gold_labels):
+            rows.append([
+                "bias",
+                f"cur={norm(toks[t])}",
+                f"prev={norm(toks[t - 1]) if t > 0 else '<s>'}",
+                f"next={norm(toks[t + 1]) if t + 1 < n else '</s>'}",
+                f"special={'yes' if toks[t] in special_tokens else 'no'}",
+            ])
+            targets.append(label_index[gold])
+    names = {name for row in rows for name in row}
+    # the features of an unknown placeholder and of the boundary
+    names |= {"cur=<unk>", "prev=<unk>", "next=<unk>", "special=yes"}
+    names |= {"prev=<s>", "next=</s>", "special=no"}
+    slot_features = ["bias"] + sorted(names - {"bias"})
+    index = {name: i for i, name in enumerate(slot_features)}
+    col_ids = np.array([[index[name] for name in row] for row in rows])
+    x = sp.csr_matrix(
+        (np.ones(5 * len(rows)), col_ids.ravel(), np.arange(0, 5 * (len(rows) + 1), 5)),
+        shape=(len(rows), len(slot_features)),
+    )
+
+    intent_index = {f"tok={tok}": i for i, tok in enumerate([*vocab, "<unk>"], start=1)}
+    data, indices, indptr = [], [], [0]
+    for utt in corpus:
+        bag = {0: 1.0}
+        for tok in utt.tokens:
+            fid = intent_index[f"tok={norm(tok)}"]
+            bag[fid] = bag.get(fid, 0.0) + 1.0
+        for fid in sorted(bag):
+            indices.append(fid)
+            data.append(bag[fid])
+        indptr.append(len(indices))
+    xi = sp.csr_matrix(
+        (np.array(data), np.array(indices), np.array(indptr)),
+        shape=(len(corpus), len(intent_index) + 1),
+    )
+    yi = np.array([corpus.intent_set.index(utt.gold_intent) for utt in corpus])
+    return slot_features, x, np.array(targets), xi, yi
 
 
 def reference_objective(flat, x, y, l2):

@@ -8,6 +8,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterdelex.cli import build_parser, main
 from iterdelex.corpus import SlotLabel
@@ -220,6 +222,14 @@ class TestInfer:
                      id="intent_weights-rows"),
         pytest.param("intent_weights", lambda p: [r.pop() for r in p["intent_weights"]],
                      id="intent_weights-columns"),
+        *[pytest.param(key, lambda p, key=key: p.update({key: 5}), id=f"{key}-number")
+          for key in ("labels", "intents", "vocab", "special_tokens", "slot_features",
+                      "intent_features")],
+        pytest.param("vocab", lambda p: p.update(vocab=[1, 2]), id="vocab-numbers"),
+        pytest.param("params", lambda p: p.update(params=[]), id="params-list"),
+        pytest.param("params", lambda p: p["params"].update(l2="0.1"), id="params-l2-string"),
+        pytest.param("params", lambda p: p["params"].update(l2=float("nan")), id="params-l2-nan"),
+        pytest.param("labels", lambda p: p["labels"].__setitem__(1, "Q-x"), id="labels-invalid"),
     ])
     def test_model_missing_entry_rejected(self, workspace, tmp_path, capsys, key, edit):
         """A missing or malformed model entry exits 1 with an error line
@@ -237,6 +247,35 @@ class TestInfer:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(model) in err and repr(key) in err
+
+    def test_model_entry_swapped_for_random_json(self, workspace, tmp_path):
+        """Any JSON value in place of any model entry exits 0, 1 or 2, never
+        with an exception."""
+        payload = json.loads(workspace["model"].read_text())
+        utterance = tmp_path / "utterance.jsonl"
+        utterance.write_text(json.dumps({"tokens": ["text", "bob", "saying", "hi"]}) + "\n")
+        scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                   | st.text(max_size=4))
+        values = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            max_leaves=12,
+        )
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.sampled_from(sorted(payload)), values)
+        def check(entry, value):
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps({**payload, entry: value}))
+            assert main([
+                "infer", "--model", str(model),
+                "--gazetteer", str(workspace["gazetteer"]),
+                "--input", str(utterance),
+                "--output", str(tmp_path / "pred.jsonl"),
+            ]) in (0, 1, 2)
+
+        check()
 
     def test_missing_model_is_io_error(self, workspace, tmp_path):
         code = main([

@@ -184,12 +184,19 @@ class TestIO:
             ('{"tokens": ["a"], "labels": 5}', "'labels' is not an array of strings"),
             ('{"tokens": ["a"], "labels": [null]}', "'labels' is not an array of strings"),
             ('{"tokens": ["a"], "intent": 5}', "'intent' is not a string"),
+            ('{"tokens": ["a"], "intent": ""}', "intent name is empty"),
         ],
     )
     def test_jsonl_malformed_record_names_file_and_line(self, tmp_path, record, message):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"tokens": ["ok"]}\n' + record + "\n")
         with pytest.raises(ValueError, match=rf"bad\.jsonl:2: {message}"):
+            load_dataset(path)
+
+    def test_conll_empty_intent_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.conll"
+        path.write_text("#intent=call\ncall\tO\n\n#intent= \nbob\tB-contact\n")
+        with pytest.raises(ValueError, match=r"bad\.conll:4: intent name is empty"):
             load_dataset(path)
 
     def test_jsonl_invalid_json(self, tmp_path):

@@ -17,7 +17,6 @@ from iterdelex.backend import (
 from iterdelex.corpus import SlotLabel, is_valid_bio
 from iterdelex.engine import (
     EngineConfig,
-    TraceEntry,
     generate_rewrites,
     iterative_parse,
     project_labels,
@@ -94,12 +93,6 @@ class TestEngineConfig:
 
     def test_infinite_tau_allowed(self):
         assert EngineConfig(ood_slots=("msg",), tau=float("inf")).tau == float("inf")
-
-
-class TestTraceEntry:
-    def test_format_is_tab_separated_fixed_precision(self):
-        entry = TraceEntry(1, 2.5987524, "proper_span", ("a", "b"))
-        assert entry.format() == "iter1\t2.598752\tproper_span\ta b"
 
 
 TABLE = build_token_table(["msg"])
@@ -360,10 +353,12 @@ class TestIterativeParse:
         out = iterative_parse(("alpha", "beta", "gamma"), self.backend, self.gaz, TABLE, CFG)
         expected0 = 3 / (self.e_alpha + 2 * self.e_middling)
         expected1 = 2 / self.e_alpha
-        assert out.trace[0].score == pytest.approx(expected0, rel=1e-12)
-        assert out.trace[1].score == pytest.approx(expected1, rel=1e-12)
-        assert [t.iteration for t in out.trace] == [0, 1, 2]
-        assert [t.provenance for t in out.trace] == ["original", "proper_span", "expansion"]
+        assert out.evaluations[0][1] == pytest.approx(expected0, rel=1e-12)
+        assert out.evaluations[1][1] == pytest.approx(expected1, rel=1e-12)
+        assert [it for it, _, _ in out.evaluations] == [0, 1, 2]
+        assert [c.provenance for _, _, c in out.evaluations] == [
+            "original", "proper_span", "expansion"
+        ]
 
     def test_tau_blocks_expansion(self):
         cfg = EngineConfig(ood_slots=("msg",), tau=0.5)
@@ -391,8 +386,8 @@ class TestIterativeParse:
         cfg = EngineConfig(ood_slots=("msg",), tau=0.5)
         out = iterative_parse(("alpha", "beta"), backend, g, TABLE, cfg)
         assert out.best.tokens == ("alpha", "<msg>")
-        assert out.trace[0].provenance == "original"
-        assert out.trace[1].provenance == "seed"
+        assert out.evaluations[0][2].provenance == "original"
+        assert out.evaluations[1][2].provenance == "seed"
         assert out.labels == labels("O", "B-msg")
 
     def test_deterministic(self):
@@ -401,7 +396,7 @@ class TestIterativeParse:
             for _ in range(2)
         ]
         assert runs[0].best == runs[1].best
-        assert runs[0].trace == runs[1].trace
+        assert runs[0].evaluations == runs[1].evaluations
         assert runs[0].score == runs[1].score
 
     def test_empty_utterance_rejected(self):
@@ -428,9 +423,9 @@ class TestIterativeParse:
         cfg = EngineConfig(ood_slots=("a", "b"), tau=1e-5)
         out = iterative_parse(("foo", "bar"), backend, g, table, cfg)
         target = ("<a>", "<b>")
-        hits = [t for t in out.trace if t.tokens == target]
+        hits = [c for _, _, c in out.evaluations if c.tokens == target]
         assert len(hits) == 1
-        assert out.candidates_evaluated == len(out.trace)
+        assert out.candidates_evaluated == len(out.trace_text().splitlines())
 
     def test_beam_truncation_limits_expansion(self):
         # with top_k=1 only the best seed survives iteration 0, so the first
@@ -440,17 +435,20 @@ class TestIterativeParse:
         def iter1_count(k):
             cfg = EngineConfig(ood_slots=("msg",), top_k=k)
             out = iterative_parse(("alpha", "beta", "gamma"), self.backend, g, TABLE, cfg)
-            return sum(1 for t in out.trace if t.iteration == 1)
+            return sum(1 for it, _, _ in out.evaluations if it == 1)
 
         assert iter1_count(1) < iter1_count(8)
 
     def test_trace_text_one_line_per_entry(self):
+        """One tab-separated line per evaluation: the iteration, the score
+        rounded to six decimals in fixed notation, the provenance and the
+        tokens."""
         out = iterative_parse(("alpha", "beta", "gamma"), self.backend, self.gaz, TABLE, CFG)
-        text = out.trace_text()
-        lines = text.splitlines()
-        assert len(lines) == len(out.trace)
-        assert lines[0].startswith("iter0\t")
-        assert text.endswith("\n")
+        assert out.trace_text() == (
+            "iter0\t1.307224\toriginal\talpha beta gamma\n"  # 1.3072244...
+            "iter1\t5.071024\tproper_span\talpha <msg>\n"  # 5.0710235...
+            "iter2\t1000000000000.000000\texpansion\t<msg>\n"  # 1 / the entropy floor
+        )
 
     def test_projection_repairs_logged(self, caplog):
         backend = make_backend(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from iterdelex import loglinear
 from iterdelex.corpus import Dataset, SlotLabel, Utterance, repair_bio
 from iterdelex.loglinear import LogLinearBackend, TrainingParams, _objective
 
@@ -78,6 +79,9 @@ class TestTraining:
             TrainingParams(l2=-1.0)
         with pytest.raises(ValueError):
             TrainingParams(min_count=0)
+        for nan in ({"l2": math.nan}, {"min_count": math.nan}):
+            with pytest.raises(ValueError):
+                TrainingParams(**nan)
 
     def test_bias_feature_present(self, backend):
         assert backend.slot_features[0] == "bias"
@@ -208,6 +212,51 @@ def test_parse_equals_named_feature_reference_bitwise(sparse_backend):
         assert got.predicted_labels == want.predicted_labels
         assert got.intent_distribution.tobytes() == want.intent_distribution.tobytes()
         assert got.predicted_intent == want.predicted_intent
+
+    check()
+
+
+def test_training_design_equals_named_feature_reference(monkeypatch):
+    """Training hands its two fits the designs that named features give, bit
+    for bit, with special tokens inside and outside the vocabulary."""
+    fits = []
+
+    def capture(x, y, n_classes, l2, max_iter):
+        fits.append((x, y))
+        return np.zeros((x.shape[1], n_classes))
+
+    monkeypatch.setattr(loglinear, "_fit_softmax", capture)
+    words = ["call", "play", "alice", "bob", "jazz", "now", "<contact>", "<genre>", "<city>"]
+    tags = ["O", "B-contact", "I-contact", "B-genre", "I-genre"]
+    tagged = st.lists(st.tuples(st.sampled_from(words), st.sampled_from(tags)),
+                      min_size=1, max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(tagged, st.sampled_from(["call", "play", "clock"])),
+                 min_size=1, max_size=12),
+        st.integers(1, 3),
+        st.sampled_from([(), ("<contact>",), ("<contact>", "<genre>", "<city>", "<time>")]),
+    )
+    def check(rows, min_count, specials):
+        utts = [utt("call alice", "O B-contact", "call")]  # at least 2 labels
+        for pairs, intent in rows:
+            toks, tags_ = zip(*pairs)
+            utts.append(Utterance(toks, repair_bio(labels(*tags_))[0], intent))
+        corpus = Dataset.from_utterances(utts)
+        fits.clear()
+        backend = LogLinearBackend.train(
+            corpus, TrainingParams(min_count=min_count, special_tokens=specials)
+        )
+        slot_features, *want = oracle.reference_design(corpus, specials, min_count)
+        assert backend.slot_features == tuple(slot_features)
+        (x, y), (xi, yi) = fits
+        for got, expected in ((x, want[0]), (xi, want[2])):
+            for attr in ("indices", "indptr", "data"):
+                a, b = getattr(got, attr), getattr(expected, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for got, expected in ((y, want[1]), (yi, want[3])):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     check()
 
