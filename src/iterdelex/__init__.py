@@ -9,7 +9,7 @@ needs to understand placeholder tokens.
 """
 
 from iterdelex.corpus import Dataset, SlotLabel, Utterance, load_dataset, save_dataset
-from iterdelex.gazetteer import Gazetteer, SpecialToken, build_gazetteer, build_token_table
+from iterdelex.gazetteer import Gazetteer, build_gazetteer, build_token_table
 from iterdelex.augment import AugmentConfig, combine, delexicalize_training
 from iterdelex.backend import Backend, ParseResult, ScriptedBackend
 from iterdelex.loglinear import LogLinearBackend, TrainingParams
@@ -34,7 +34,6 @@ __all__ = [
     "ScriptedBackend",
     "SlotLabel",
     "Span",
-    "SpecialToken",
     "SyntheticSpec",
     "TrainingParams",
     "Utterance",

@@ -3,10 +3,11 @@
 Training a parser that must understand placeholder tokens requires seeing
 them in context: each gold slot span is independently replaced by its
 placeholder with probability ``substitution_prob``, collapsing the span's
-labels to a single Begin tag on the placeholder. Utterances where nothing
-was replaced are dropped (they would duplicate the source corpus). The
-parser is then trained on the concatenation of the original and the
-substituted corpora.
+labels to a single Begin tag on the placeholder. The replacement is
+``Candidate.substitute``, the one the engine seeds with, and the labels are
+read off the alignment it returns. Utterances where nothing was replaced
+are dropped (they would duplicate the source corpus). The parser is then
+trained on the concatenation of the original and the substituted corpora.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 from iterdelex.corpus import Dataset, SlotLabel, Utterance, bio_spans
 from iterdelex.gazetteer import TokenTable
+from iterdelex.seed import Span, original_candidate
 
 
 @dataclass(frozen=True)
@@ -52,26 +54,25 @@ def delexicalize_utterance(
     if utt.gold_labels is None:
         raise ValueError("delexicalization requires gold labels")
     spans = bio_spans(utt.gold_labels)
-    tokens: list[str] = []
-    labels: list[SlotLabel] = []
-    pos = 0
-    replaced = 0
-    for idx, (start, end, slot) in enumerate(spans):
-        tokens.extend(utt.tokens[pos:start])
-        labels.extend(utt.gold_labels[pos:start])
-        take = replace_span[idx] if replace_span is not None else True
-        if take:
-            tokens.append(token_table.surface_for(slot))
-            labels.append(SlotLabel.begin(slot))
-            replaced += 1
-        else:
-            tokens.extend(utt.tokens[start:end])
-            labels.extend(utt.gold_labels[start:end])
-        pos = end
-    tokens.extend(utt.tokens[pos:])
-    labels.extend(utt.gold_labels[pos:])
-    out = Utterance(tuple(tokens), tuple(labels), utt.gold_intent)
-    return out, len(spans), replaced
+    chosen = spans if replace_span is None else [
+        span for span, take in zip(spans, replace_span, strict=True) if take
+    ]
+    return _substitute(utt, chosen, token_table), len(spans), len(chosen)
+
+
+def _substitute(
+    utt: Utterance, spans: list[tuple[int, int, str]], token_table: TokenTable
+) -> Utterance:
+    """``utt`` with each gold span of ``spans`` replaced by its placeholder,
+    labelled Begin; every other token keeps its gold label."""
+    cand = original_candidate(utt.tokens).substitute(
+        [Span(*span) for span in spans], token_table, "augment"
+    )
+    labels = tuple(
+        SlotLabel.begin(entry.slot_type) if entry.slot_type else utt.gold_labels[entry.start]
+        for entry in cand.alignment
+    )
+    return Utterance(cand.tokens, labels, utt.gold_intent)
 
 
 def delexicalize_training(train: Dataset, cfg: AugmentConfig) -> tuple[Dataset, AugmentStats]:
@@ -90,13 +91,10 @@ def delexicalize_training(train: Dataset, cfg: AugmentConfig) -> tuple[Dataset, 
         rng = random.Random(f"{cfg.rng_seed}:{i}")
         spans = bio_spans(utt.gold_labels)
         total += len(spans)
-        if not spans:
-            continue
-        choices = [rng.random() < cfg.substitution_prob for _ in spans]
-        delexed, _, replaced = delexicalize_utterance(utt, cfg.token_table, choices)
-        replaced_total += replaced
-        if replaced:
-            out.append(delexed)
+        chosen = [span for span in spans if rng.random() < cfg.substitution_prob]
+        if chosen:
+            replaced_total += len(chosen)
+            out.append(_substitute(utt, chosen, cfg.token_table))
     return Dataset.from_utterances(out), AugmentStats(total, replaced_total)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from iterdelex.augment import AugmentConfig, combine, delexicalize_training
-from iterdelex.corpus import load_dataset, repair_bio, save_dataset
+from iterdelex.corpus import load_dataset, open_text, repair_bio, save_dataset
 from iterdelex.engine import (
     DEFAULT_TAU,
     DEFAULT_TOP_K,
@@ -76,7 +76,8 @@ _CONFIG_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
 def _read_config(path: str, command: str) -> dict[str, object]:
     allowed = _CONFIG_KEYS[command]
     values: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    with open_text(path) as f:
+        text = f.read()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -221,7 +222,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(gold, pred)
     categories = None
     if categories_path:
-        lines = Path(str(categories_path)).read_text(encoding="utf-8").splitlines()
+        with open_text(str(categories_path)) as f:
+            lines = f.read().splitlines()
         categories = [ln.strip() for ln in lines if ln.strip()]
         if not categories:
             raise ValueError(f"{categories_path}: no category names")

@@ -17,15 +17,29 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 log = logging.getLogger(__name__)
 
 OUTSIDE = "O"
 BEGIN = "B"
 INSIDE = "I"
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[IO[str]]:
+    """Open ``path`` for reading as UTF-8 text; bytes that do not decode
+    raise a ``ValueError`` naming the file."""
+    with Path(path).open("r", encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})"
+            ) from None
 
 
 @dataclass(frozen=True, order=True)
@@ -193,7 +207,7 @@ def _load_conll(path: Path, state: _LoaderState) -> None:
     tokens: list[str] = []
     labels: list[SlotLabel] = []
     intent: Optional[str] = None
-    with path.open("r", encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -226,7 +240,7 @@ def _is_string_list(value: object) -> bool:
 
 
 def _load_jsonl(path: Path, state: _LoaderState) -> None:
-    with path.open("r", encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line:

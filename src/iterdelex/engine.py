@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from iterdelex.backend import Backend, ParseResult
 from iterdelex.corpus import SlotLabel, bio_spans, repair_bio
 from iterdelex.gazetteer import Gazetteer, TokenTable
-from iterdelex.seed import DEFAULT_SEED_CAP, Candidate, seed_candidates
+from iterdelex.seed import DEFAULT_SEED_CAP, Candidate, Span, seed_candidates
 
 log = logging.getLogger(__name__)
 
@@ -120,7 +120,7 @@ def _span_rewrites(
         if any(table.is_special(tok) for tok in cand.tokens[start:end]):
             continue
         provenance = "proper_span" if labels[start].kind == "B" else "improper_span"
-        yield cand.collapse(start, end, slot, table.surface_for(slot), provenance)
+        yield cand.substitute((Span(start, end, slot),), table, provenance)
 
 
 def _expansion_rewrites(
@@ -131,8 +131,7 @@ def _expansion_rewrites(
     for t, tok in enumerate(cand.tokens):
         if not table.is_special(tok):
             continue
-        entry = cand.alignment[t]
-        slot = entry.slot_type if entry is not None else table.slot_for_surface(tok)
+        slot = cand.alignment[t].slot_type or table.slot_for_surface(tok)
         if slot not in config.ood_slots:
             continue
         left = t
@@ -151,7 +150,7 @@ def _expansion_rewrites(
             right += 1
         if left == t and right == t:
             continue
-        yield cand.collapse(left, right + 1, slot, tok, "expansion")
+        yield cand.substitute((Span(left, right + 1, slot),), table, "expansion")
 
 
 def generate_rewrites(
@@ -182,19 +181,14 @@ def project_labels(
         raise ValueError(
             f"parse length {len(parse)} does not match candidate length {len(cand)}"
         )
-    out: list[Optional[SlotLabel]] = [None] * cand.source_length
-    cursor = 0
-    for pos, entry in enumerate(cand.alignment):
-        if entry is None:
-            out[cursor] = parse.predicted_labels[pos]
-            cursor += 1
+    out: list[SlotLabel] = []
+    for entry, predicted in zip(cand.alignment, parse.predicted_labels):
+        if entry.slot_type:
+            out.append(SlotLabel.begin(entry.slot_type))
+            out += [SlotLabel.inside(entry.slot_type)] * (len(entry) - 1)
         else:
-            out[entry.start] = SlotLabel.begin(entry.slot_type)
-            for i in range(entry.start + 1, entry.end):
-                out[i] = SlotLabel.inside(entry.slot_type)
-            cursor = entry.end
-    assert cursor == cand.source_length and all(lab is not None for lab in out)
-    return repair_bio(tuple(out))
+            out.append(predicted)
+    return repair_bio(out)
 
 
 # ---------------------------------------------------------------------------

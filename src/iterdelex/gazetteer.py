@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from iterdelex.corpus import Dataset, bio_spans
+from iterdelex.corpus import Dataset, bio_spans, open_text
 
 log = logging.getLogger(__name__)
 
@@ -31,62 +31,33 @@ Phrase = tuple[str, ...]
 DEFAULT_CONTEXT_NGRAM_CAP = 4
 
 
-@dataclass(frozen=True)
-class SpecialToken:
-    """Placeholder surface standing in for values of one slot type."""
-
-    surface: str
-    slot_type: str
-    shared_group: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not self.surface or not self.slot_type:
-            raise ValueError("special token needs a surface and a slot type")
-
-
 class TokenTable:
-    """Slot-type <-> placeholder-surface mapping with shared-group support."""
+    """Slot-type <-> placeholder-surface mapping with shared-group support,
+    as ``build_token_table`` makes it."""
 
-    def __init__(self, tokens: Iterable[SpecialToken]):
-        self.tokens = tuple(tokens)
-        self._by_slot: dict[str, SpecialToken] = {}
-        self._by_surface: dict[str, list[SpecialToken]] = {}
-        for tok in self.tokens:
-            if tok.slot_type in self._by_slot:
-                raise ValueError(f"duplicate special token for slot {tok.slot_type!r}")
-            self._by_slot[tok.slot_type] = tok
-            self._by_surface.setdefault(tok.surface, []).append(tok)
-        for surface, toks in self._by_surface.items():
-            groups = {t.shared_group for t in toks}
-            if len(toks) > 1 and (None in groups or len(groups) > 1):
-                raise ValueError(
-                    f"surface {surface!r} shared by slots outside a common group"
-                )
+    def __init__(self, surface_of: Mapping[str, str]):
+        self._surface_of = dict(surface_of)
+        self._slot_of: dict[str, str] = {}
+        for slot in sorted(self._surface_of, reverse=True):  # smallest written last
+            self._slot_of[self._surface_of[slot]] = slot
 
     def surface_for(self, slot_type: str) -> str:
-        return self._by_slot[slot_type].surface
+        return self._surface_of[slot_type]
 
     def slot_for_surface(self, surface: str) -> Optional[str]:
         """Canonical slot type for a surface (first by sort order for groups)."""
-        toks = self._by_surface.get(surface)
-        if not toks:
-            return None
-        return min(t.slot_type for t in toks)
+        return self._slot_of.get(surface)
 
     def is_special(self, token: str) -> bool:
-        return token in self._by_surface
+        return token in self._slot_of
 
     @property
     def surfaces(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_surface))
+        return tuple(sorted(self._slot_of))
 
     @property
     def slot_types(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_slot))
-
-    def group_of(self, slot_type: str) -> Optional[str]:
-        tok = self._by_slot.get(slot_type)
-        return tok.shared_group if tok else None
+        return tuple(sorted(self._surface_of))
 
 
 def build_token_table(
@@ -97,26 +68,40 @@ def build_token_table(
 ) -> TokenTable:
     """Create one placeholder per slot type, one shared surface per group.
 
-    Surfaces follow the ``<slot_type>`` convention. When ``vocabulary`` is
-    given, any collision between a surface and a natural token is rejected.
+    Surfaces follow the ``<slot_type>`` / ``<group>`` convention. A slot in
+    two groups, and a group surface that is also a grouped-out slot's own,
+    are rejected. When ``vocabulary`` is given, any collision between a
+    surface and a natural token is rejected too.
     """
-    groups = {g: tuple(slots) for g, slots in (shared_groups or {}).items()}
     slot_to_group: dict[str, str] = {}
-    for gname, slots in groups.items():
+    for gname, slots in (shared_groups or {}).items():
+        if not gname:
+            raise ValueError("shared group name is empty")
         for s in slots:
             if s in slot_to_group:
-                raise ValueError(f"slot {s!r} appears in two shared groups")
+                raise ValueError(
+                    f"slot {s!r} appears in two shared groups, "
+                    f"{slot_to_group[s]!r} and {gname!r}"
+                )
             slot_to_group[s] = gname
-    tokens = []
+    surface_of: dict[str, str] = {}
+    group_of_surface: dict[str, Optional[str]] = {}
     for slot in sorted(set(slot_types)):
+        if not slot:
+            raise ValueError("slot type is empty")
         group = slot_to_group.get(slot)
-        surface = f"<{group}>" if group else f"<{slot}>"
+        surface = f"<{group or slot}>"
+        if group_of_surface.setdefault(surface, group) != group:
+            raise ValueError(
+                f"group {group or group_of_surface[surface]!r}: surface {surface!r} "
+                f"is also slot {surface[1:-1]!r}'s, outside a common group"
+            )
         if vocabulary and surface in vocabulary:
             raise ValueError(
                 f"placeholder surface {surface!r} collides with a training token"
             )
-        tokens.append(SpecialToken(surface, slot, group))
-    return TokenTable(tokens)
+        surface_of[slot] = surface
+    return TokenTable(surface_of)
 
 
 @dataclass(frozen=True)
@@ -221,8 +206,36 @@ def build_gazetteer(
         slot_phrases={s: frozenset(p) for s, p in slot_phrases.items()},
         context_phrases=frozenset(context),
         ambiguous_phrases=frozenset(ambiguous),
-        shared_groups={g: tuple(sorted(slots)) for g, slots in groups.items()},
+        shared_groups=_checked_groups(
+            [(g, tuple(sorted(slots))) for g, slots in groups.items()],
+            slot_phrases,
+            "shared groups",
+        ),
     )
+
+
+def _checked_groups(
+    rows: Sequence[tuple[str, Phrase]], slot_types: Iterable[str], source: object
+) -> dict[str, Phrase]:
+    """The shared groups of ``(name, members)`` rows, once they are known to
+    build a token table with ``slot_types``: a repeated group name, a member
+    with no slot phrases, a slot in two groups and a group surface that is
+    also another slot's are each a ``ValueError`` naming ``source`` and the
+    group."""
+    slots = set(slot_types)
+    groups: dict[str, Phrase] = {}
+    for name, members in rows:
+        if name in groups:
+            raise ValueError(f"{source}: group {name!r} is defined twice")
+        missing = [s for s in members if s not in slots]
+        if missing:
+            raise ValueError(f"{source}: group {name!r}: no slot phrases for {missing[0]!r}")
+        groups[name] = members
+    try:
+        build_token_table(slots, groups)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    return groups
 
 
 def training_vocabulary(train: Dataset) -> set[str]:
@@ -250,8 +263,8 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     slot_phrases: dict[str, set[Phrase]] = {}
     context: set[Phrase] = set()
     ambiguous: set[Phrase] = set()
-    groups: dict[str, tuple[str, ...]] = {}
-    with p.open("r", encoding="utf-8") as f:
+    group_rows: list[tuple[str, Phrase]] = []
+    with open_text(p) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -274,12 +287,12 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
             elif kind == "group":
                 if not slot:
                     raise ValueError(f"{p}:{lineno}: group row without a group name")
-                groups[slot] = phrase
+                group_rows.append((slot, phrase))
             else:
                 raise ValueError(f"{p}:{lineno}: unknown row kind {kind!r}")
     return Gazetteer(
         slot_phrases={s: frozenset(p) for s, p in slot_phrases.items()},
         context_phrases=frozenset(context),
         ambiguous_phrases=frozenset(ambiguous),
-        shared_groups=groups,
+        shared_groups=_checked_groups(group_rows, slot_phrases, p),
     )

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from iterdelex.backend import Backend, ParseResult
-from iterdelex.corpus import Dataset, SlotLabel
+from iterdelex.corpus import Dataset, SlotLabel, open_text
 
 FORMAT_NAME = "iterdelex-loglinear"
 FORMAT_VERSION = 1
@@ -367,8 +367,10 @@ class LogLinearBackend(Backend):
 
     @classmethod
     def load(cls, path: str | Path) -> LogLinearBackend:
+        with open_text(path) as f:
+            text = f.read()
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a valid model file: {exc.msg}") from exc
         if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:

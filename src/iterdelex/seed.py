@@ -1,18 +1,19 @@
 """Seed candidate generation: gazetteer matching and initial substitutions.
 
-A candidate is a rewritten token sequence plus an alignment describing, for
-every placeholder it contains, which contiguous span of the *original*
-utterance that placeholder stands for. Natural tokens keep an implicit
-one-to-one alignment, so walking a candidate left to right fully recovers
-the original positions. All rewrite operations preserve this invariant,
-which is what makes label projection after parsing a pure bookkeeping step.
+A candidate is a rewritten token sequence plus an alignment that states,
+for every token, the contiguous span of the *original* utterance it stands
+for: a natural token its own position, a placeholder the whole span it
+replaces. Seeds, the engine's rewrites and training augmentation all
+substitute placeholders through ``Candidate.substitute``, which keeps the
+alignment tiling the original utterance; that is what makes label
+projection after parsing a pure bookkeeping step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from iterdelex.gazetteer import Gazetteer, TokenTable
 
@@ -21,7 +22,8 @@ DEFAULT_SEED_CAP = 64
 
 @dataclass(frozen=True, order=True)
 class Span:
-    """Half-open original-token range [start, end) carrying a slot type."""
+    """Half-open original-token range [start, end) carrying a slot type,
+    empty for a natural token."""
 
     start: int
     end: int
@@ -39,13 +41,14 @@ class Span:
 class Candidate:
     """A (possibly rewritten) token sequence aligned to the source utterance.
 
-    ``alignment`` has one entry per token: ``None`` for a natural token,
-    or the original ``Span`` a placeholder replaces. Entries must tile the
-    original utterance in order, which ``__post_init__`` enforces.
+    ``alignment`` has one ``Span`` per token: ``Span(i, i + 1, "")`` for the
+    natural token at source position ``i``, or the original span a
+    placeholder replaces, with its slot type. Entries must tile the original
+    utterance in order, which ``__post_init__`` enforces.
     """
 
     tokens: tuple[str, ...]
-    alignment: tuple[Optional[Span], ...]
+    alignment: tuple[Span, ...]
     provenance: str
 
     def __post_init__(self) -> None:
@@ -55,15 +58,13 @@ class Candidate:
             raise ValueError("candidate cannot be empty")
         cursor = 0
         for entry in self.alignment:
-            if entry is None:
-                cursor += 1
-            else:
-                if entry.start != cursor:
-                    raise ValueError(
-                        f"alignment gap: span starts at {entry.start}, "
-                        f"expected {cursor}"
-                    )
-                cursor = entry.end
+            if entry.start != cursor:
+                raise ValueError(
+                    f"alignment gap: span starts at {entry.start}, expected {cursor}"
+                )
+            if not entry.slot_type and entry.end != cursor + 1:
+                raise ValueError(f"natural token aligned to {len(entry)} source tokens")
+            cursor = entry.end
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -71,55 +72,46 @@ class Candidate:
     @property
     def source_length(self) -> int:
         """Length of the original utterance this candidate rewrites."""
-        return sum(1 if e is None else len(e) for e in self.alignment)
+        return self.alignment[-1].end
 
     @property
     def natural_count(self) -> int:
         """How many tokens are original (non-placeholder) material."""
-        return sum(1 for e in self.alignment if e is None)
+        return sum(1 for e in self.alignment if not e.slot_type)
 
     def key(self) -> tuple:
         """Orderable identity, for deduplication and for breaking score ties:
-        the tokens, then each token's original span, a natural token as
-        ``(-1, -1, "")`` so that it sorts before any placeholder. Provenance
-        is bookkeeping, not identity."""
-        return (
-            self.tokens,
-            tuple(
-                (-1, -1, "") if e is None else (e.start, e.end, e.slot_type)
-                for e in self.alignment
-            ),
-        )
+        the tokens, then the alignment. Where two alignments first differ,
+        both entries start at the same position, so a natural token sorts
+        before any placeholder there. Provenance is bookkeeping, not
+        identity."""
+        return (self.tokens, self.alignment)
 
-    def source_extents(self) -> tuple[tuple[int, int], ...]:
-        """Per-token half-open ranges into the original utterance."""
-        extents = []
-        cursor = 0
-        for entry in self.alignment:
-            if entry is None:
-                extents.append((cursor, cursor + 1))
-                cursor += 1
-            else:
-                extents.append((entry.start, entry.end))
-                cursor = entry.end
-        return tuple(extents)
-
-    def collapse(
-        self, start: int, end: int, slot_type: str, surface: str, provenance: str
+    def substitute(
+        self, spans: Sequence[Span], table: TokenTable, provenance: str
     ) -> Candidate:
-        """Replace tokens [start, end) by the placeholder ``surface``, aligned
-        to every original token they stand for, as ``slot_type``."""
-        extents = self.source_extents()
-        merged = Span(extents[start][0], extents[end - 1][1], slot_type)
+        """Replace the tokens of each of the sorted, disjoint ``spans`` (token
+        positions in this candidate) by its slot type's placeholder, aligned to
+        every original token they stand for, in one pass."""
+        tokens: tuple[str, ...] = ()
+        alignment: tuple[Span, ...] = ()
+        pos = 0
+        for span in spans:
+            merged = Span(
+                self.alignment[span.start].start, self.alignment[span.end - 1].end, span.slot_type
+            )
+            tokens += self.tokens[pos:span.start] + (table.surface_for(span.slot_type),)
+            alignment += self.alignment[pos:span.start] + (merged,)
+            pos = span.end
         return Candidate(
-            self.tokens[:start] + (surface,) + self.tokens[end:],
-            self.alignment[:start] + (merged,) + self.alignment[end:],
-            provenance,
+            tokens + self.tokens[pos:], alignment + self.alignment[pos:], provenance
         )
 
 
 def original_candidate(tokens: Sequence[str]) -> Candidate:
-    return Candidate(tuple(tokens), (None,) * len(tokens), "original")
+    return Candidate(
+        tuple(tokens), tuple(Span(i, i + 1, "") for i in range(len(tokens))), "original"
+    )
 
 
 def find_matches(tokens: Sequence[str], gazetteer: Gazetteer) -> tuple[Span, ...]:
@@ -166,15 +158,8 @@ def seed_candidates(
     original = original_candidate(tokens)
     seeds = [original]
     for size in range(len(matches), 0, -1):
-        for combo in combinations(range(len(matches)), size):
+        for combo in combinations(matches, size):
             if len(seeds) >= cap:
                 return tuple(seeds)
-            seed = original
-            # right to left, so the positions of the matches still to come
-            # are their original ones
-            for i in reversed(combo):
-                span = matches[i]
-                surface = table.surface_for(span.slot_type)
-                seed = seed.collapse(span.start, span.end, span.slot_type, surface, "seed")
-            seeds.append(seed)
+            seeds.append(original.substitute(combo, table, "seed"))
     return tuple(seeds)

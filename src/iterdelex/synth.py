@@ -11,12 +11,13 @@ training time. Generation is fully determined by the seed.
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from iterdelex.corpus import Dataset, SlotLabel, Utterance
+from iterdelex.corpus import Dataset, SlotLabel, Utterance, open_text
 
 Phrase = tuple[str, ...]
 
@@ -30,8 +31,8 @@ class IntentTemplates:
     templates: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"intent {self.name!r}: weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"intent {self.name!r}: weight must be positive and finite")
         if not self.templates:
             raise ValueError(f"intent {self.name!r}: needs at least one template")
 
@@ -84,6 +85,13 @@ class SyntheticSpec:
             raise ValueError("filler_rate + confusable_rate must stay below 1")
         if self.confusable_rate > 0 and not self.confusables:
             raise ValueError("confusable_rate set but no confusable words given")
+        if not self.open_content_train or not self.open_content_test:
+            raise ValueError("both open-slot content pools need at least one word")
+        if self.filler_rate > 0 and not self.fillers:
+            raise ValueError("filler_rate set but no filler words given")
+        for name, phrases in self.closed_slots.items():
+            if not phrases or not all(phrases):
+                raise ValueError(f"closed slot {name!r} needs non-empty phrases")
         lo, hi = self.open_len
         if lo < 1 or hi < lo:
             raise ValueError(f"invalid open-slot length range {self.open_len}")
@@ -227,35 +235,105 @@ def save_spec(spec: SyntheticSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
+def _string(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError("not a string")
+    return value
+
+
+def _strings(value: object) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError("not a list of strings")
+    return tuple(value)
+
+
+def _number(value: object) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError("not a number")
+    return value
+
+
+def _count(value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("not an integer")
+    return value
+
+
+def _length_range(value: object) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError("not a list of two integers")
+    return _count(value[0]), _count(value[1])
+
+
+def _phrase_lists(value: object) -> dict[str, tuple[Phrase, ...]]:
+    if not isinstance(value, dict):
+        raise ValueError("not an object of phrase lists")
+    return {name: tuple(tuple(p.split()) for p in _strings(v)) for name, v in value.items()}
+
+
+def _intents(value: object) -> tuple[IntentTemplates, ...]:
+    if not isinstance(value, list):
+        raise ValueError("not a list of intent objects")
+    intents = []
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ValueError(f"entry {i} is not an object")
+        values = {}
+        for key, read in (("name", _string), ("weight", _number), ("templates", _strings)):
+            if key not in item:
+                raise ValueError(f"entry {i} has no {key!r}")
+            try:
+                values[key] = read(item[key])
+            except ValueError as exc:
+                raise ValueError(f"entry {i}: {key!r} is {exc}") from None
+        intents.append(IntentTemplates(**values))
+    return tuple(intents)
+
+
+# how each spec file field is read; a field left out takes its SyntheticSpec default
+_SPEC_FIELDS: dict[str, Callable[[object], object]] = {
+    "intents": _intents,
+    "closed_slots": _phrase_lists,
+    "open_slot": _string,
+    "open_content_train": _strings,
+    "open_content_test": _strings,
+    "fillers": _strings,
+    "confusables": _strings,
+    "filler_rate": _number,
+    "confusable_rate": _number,
+    "open_len": _length_range,
+    "train_count": _count,
+    "test_count": _count,
+}
+
+
 def load_spec(path: str | Path) -> SyntheticSpec:
+    """Read a spec file written by ``save_spec`` or by hand. A missing
+    ``confusable_rate`` is 0 when there are no confusables."""
+    with open_text(path) as f:
+        text = f.read()
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from exc
-    confusables = tuple(payload.get("confusables", ()))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: spec is not a JSON object")
+    values = {}
+    for name, read in _SPEC_FIELDS.items():
+        if name in payload:
+            try:
+                values[name] = read(payload[name])
+            except ValueError as exc:
+                raise ValueError(f"{path}: spec field {name!r}: {exc}") from None
+    for spec_field in fields(SyntheticSpec):
+        if spec_field.default is MISSING and spec_field.name not in values:
+            raise ValueError(f"{path}: missing spec field {spec_field.name!r}")
+    if not values.get("confusables"):
+        values.setdefault("confusable_rate", 0.0)
     try:
-        return SyntheticSpec(
-            intents=tuple(
-                IntentTemplates(i["name"], i["weight"], tuple(i["templates"]))
-                for i in payload["intents"]
-            ),
-            closed_slots={
-                name: tuple(tuple(p.split()) for p in phrases)
-                for name, phrases in payload["closed_slots"].items()
-            },
-            open_slot=payload["open_slot"],
-            open_content_train=tuple(payload["open_content_train"]),
-            open_content_test=tuple(payload["open_content_test"]),
-            fillers=tuple(payload["fillers"]),
-            confusables=confusables,
-            filler_rate=payload.get("filler_rate", 0.03),
-            confusable_rate=payload.get("confusable_rate", 0.02 if confusables else 0.0),
-            open_len=tuple(payload.get("open_len", (4, 9))),
-            train_count=payload.get("train_count", 2200),
-            test_count=payload.get("test_count", 550),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing spec field {exc.args[0]!r}") from exc
+        return SyntheticSpec(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -435,7 +435,7 @@ def test_criterion_08_projection_correctness():
                 pos += width
             else:
                 tokens.append(rng.choice(words))
-                alignment.append(None)
+                alignment.append(Span(pos, pos + 1, ""))
                 pos += 1
         cand = Candidate(tuple(tokens), tuple(alignment), "seed")
 
@@ -449,7 +449,7 @@ def test_criterion_08_projection_correctness():
         assert len(labels) == source_len
         assert is_valid_bio(labels)
         for entry in alignment:
-            if entry is None:
+            if not entry.slot_type:
                 continue
             assert labels[entry.start] == SlotLabel.begin(entry.slot_type)
             for i in range(entry.start + 1, entry.end):

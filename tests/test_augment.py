@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from iterdelex.augment import (
     AugmentConfig,
     AugmentStats,
@@ -7,7 +10,7 @@ from iterdelex.augment import (
     delexicalize_training,
     delexicalize_utterance,
 )
-from iterdelex.corpus import Dataset, SlotLabel, Utterance
+from iterdelex.corpus import Dataset, SlotLabel, Utterance, bio_spans
 from iterdelex.gazetteer import build_token_table
 
 
@@ -48,6 +51,43 @@ def test_no_spans_is_identity():
 def test_unlabeled_utterance_rejected():
     with pytest.raises(ValueError, match="gold labels"):
         delexicalize_utterance(Utterance(("hi",)), TABLE)
+
+
+def test_choice_vector_length_must_match_spans():
+    source = utt("call john smith and play hey jude", "O B-contact I-contact O O B-song I-song")
+    with pytest.raises(ValueError):
+        delexicalize_utterance(source, TABLE, [True])
+
+
+GOLD = ("O", "B-contact", "I-contact", "B-song", "I-song")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_delexicalize_utterance_agrees_with_oracle(data):
+    """Replacing any chosen gold spans equals the oracle's substitution of
+    them, labelled Begin on each placeholder and gold everywhere else."""
+    tags = data.draw(st.lists(st.sampled_from(GOLD), min_size=1, max_size=10))
+    source = Utterance(tuple(f"w{i}" for i in range(len(tags))), labels(*tags), "x")
+    spans = bio_spans(source.gold_labels)
+    choices = data.draw(st.lists(st.booleans(), min_size=len(spans), max_size=len(spans)))
+    out, total, replaced = delexicalize_utterance(source, TABLE, choices)
+
+    chosen = [span for span, take in zip(spans, choices) if take]
+    surface_of = {slot: TABLE.surface_for(slot) for slot in TABLE.slot_types}
+    want_tokens, alignment = oracle._apply_subset(source.tokens, chosen, surface_of)
+    want_labels, cursor = [], 0
+    for entry in alignment:
+        if entry[0] == "ph":
+            want_labels.append(SlotLabel.begin(entry[3]))
+            cursor = entry[2]
+        else:
+            want_labels.append(source.gold_labels[cursor])
+            cursor += 1
+    assert out.tokens == want_tokens
+    assert out.gold_labels == tuple(want_labels)
+    assert out.gold_intent == "x"
+    assert (total, replaced) == (len(spans), len(chosen))
 
 
 def _corpus(n=400):

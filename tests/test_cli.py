@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterdelex.cli import build_parser, main
+from iterdelex.cli import _CONFIG_KEYS, build_parser, main
 from iterdelex.corpus import SlotLabel
 from iterdelex.loglinear import LogLinearBackend
 from iterdelex.synth import default_spec, save_spec
@@ -42,6 +42,17 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def json_values(integers=st.integers()):
+    """Random JSON values, nested up to a dozen leaves."""
+    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=4)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=12,
+    )
+
+
 class TestGen:
     def test_outputs_both_splits(self, workspace):
         assert len(read_jsonl(workspace["train"])) == 300
@@ -65,6 +76,40 @@ class TestGen:
         assert main(["gen", "--spec", str(workspace["spec"]), "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "train.jsonl").read_bytes() == workspace["train"].read_bytes()
+
+    @pytest.mark.parametrize("edit,field", [
+        pytest.param(lambda p: p.update(intents=5), "'intents'", id="intents-number"),
+        pytest.param(lambda p: p.update(intents=[5]), "'intents'", id="intents-numbers"),
+        pytest.param(lambda p: [1, 2], "JSON object", id="spec-list"),
+        pytest.param(lambda p: p.update(open_len=5), "'open_len'", id="open_len-number"),
+        pytest.param(lambda p: p["intents"][0].update(weight="heavy"), "'weight'",
+                     id="weight-string"),
+    ])
+    def test_malformed_spec_names_file_and_field(self, workspace, tmp_path, capsys, edit,
+                                                 field):
+        payload = json.loads(workspace["spec"].read_text())
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(edit(payload) or payload))
+        assert main(["gen", "--spec", str(spec), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(spec) in err and field in err
+
+    def test_spec_field_swapped_for_random_json(self, workspace, tmp_path):
+        """Any JSON value in place of any spec field exits 0, 1 or 2, never
+        with an exception."""
+        payload = json.loads(workspace["spec"].read_text())
+
+        # integers stay small, so that a spec that is still valid generates quickly
+        @settings(max_examples=100, deadline=None)
+        @given(st.sampled_from(sorted(payload)), json_values(st.integers(-2, 40)))
+        def check(field, value):
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({**payload, field: value}))
+            assert main(["gen", "--spec", str(spec), "--seed", "1",
+                         "--out", str(tmp_path / "out")]) in (0, 1, 2)
+
+        check()
 
     def test_missing_spec_file_is_io_error(self, tmp_path):
         assert main(["gen", "--spec", str(tmp_path / "nope.json"), "--seed", "1",
@@ -254,23 +299,60 @@ class TestInfer:
         payload = json.loads(workspace["model"].read_text())
         utterance = tmp_path / "utterance.jsonl"
         utterance.write_text(json.dumps({"tokens": ["text", "bob", "saying", "hi"]}) + "\n")
-        scalars = (st.none() | st.booleans() | st.integers() | st.floats()
-                   | st.text(max_size=4))
-        values = st.recursive(
-            scalars,
-            lambda inner: st.lists(inner, max_size=4)
-            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-            max_leaves=12,
-        )
 
         @settings(max_examples=100, deadline=None)
-        @given(st.sampled_from(sorted(payload)), values)
+        @given(st.sampled_from(sorted(payload)), json_values())
         def check(entry, value):
             model = tmp_path / "model.json"
             model.write_text(json.dumps({**payload, entry: value}))
             assert main([
                 "infer", "--model", str(model),
                 "--gazetteer", str(workspace["gazetteer"]),
+                "--input", str(utterance),
+                "--output", str(tmp_path / "pred.jsonl"),
+            ]) in (0, 1, 2)
+
+        check()
+
+    @pytest.mark.parametrize("rows,group", [
+        pytest.param("group\tg\tnosuch other\n", "'g'", id="member-without-slot-row"),
+        pytest.param("group\tcontact\tsong\n", "'contact'", id="surface-collision"),
+        pytest.param("group\tg\tsong\ngroup\th\tsong time\n", "'h'", id="slot-in-two-groups"),
+        pytest.param("group\tg\tsong\ngroup\tg\ttime\n", "'g'", id="repeated-group"),
+    ])
+    def test_bad_group_rows_name_file_and_group(self, workspace, tmp_path, capsys, rows, group):
+        gazetteer = tmp_path / "gaz.tsv"
+        gazetteer.write_text(workspace["gazetteer"].read_text() + rows)
+        code = main([
+            "infer", "--model", str(workspace["model"]),
+            "--gazetteer", str(gazetteer),
+            "--input", str(workspace["test"]),
+            "--output", str(tmp_path / "pred.jsonl"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(gazetteer) in err and group in err
+
+    def test_random_gazetteer_rows(self, workspace, tmp_path):
+        """Any rows appended to a gazetteer exit 0, 1 or 2, never with an
+        exception."""
+        base = workspace["gazetteer"].read_text()
+        utterance = tmp_path / "utterance.jsonl"
+        utterance.write_text(json.dumps({"tokens": ["text", "bob", "saying", "hi"]}) + "\n")
+        names = ("", "contact", "song", "message", "g", "nosuch")
+        kinds = st.sampled_from(("slot", "context", "ambiguous", "group", "bogus"))
+        words = st.lists(st.sampled_from(names[1:] + ("bob",)), max_size=3).map(" ".join)
+        rows = (st.tuples(kinds, st.sampled_from(names), words).map("\t".join)
+                | st.text(max_size=12))
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.lists(rows, max_size=4))
+        def check(extra):
+            gazetteer = tmp_path / "gaz.tsv"
+            gazetteer.write_text(base + "".join(row + "\n" for row in extra))
+            assert main([
+                "infer", "--model", str(workspace["model"]),
+                "--gazetteer", str(gazetteer),
                 "--input", str(utterance),
                 "--output", str(tmp_path / "pred.jsonl"),
             ]) in (0, 1, 2)
@@ -367,6 +449,61 @@ class TestConfigFiles:
         cfg.write_text("# a comment\n\nseed = 3\n")
         assert main(["gen", "--spec", str(workspace["spec"]), "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
+
+
+    def test_readme_lists_every_key(self):
+        """README § Commands lists each subcommand's config keys."""
+        block = README.read_text().split("spelled with underscores:\n\n")[1].split("\n\n")[0]
+        listed = {}
+        for line in block.splitlines():
+            command, keys = re.match(r"- `(\w+)`: (.*)$", line).groups()
+            listed[command] = sorted(re.findall(r"`(\w+)`", keys))
+        assert listed == {command: sorted(keys) for command, keys in _CONFIG_KEYS.items()}
+
+    def test_random_config_lines(self, workspace, tmp_path, monkeypatch):
+        """Any ``key = value`` lines in an infer config exit 0, 1 or 2, never
+        with an exception."""
+        monkeypatch.chdir(tmp_path)  # a trace path from the config lands here
+        utterance = tmp_path / "utterance.jsonl"
+        utterance.write_text(json.dumps({"tokens": ["text", "bob", "saying", "hi"]}) + "\n")
+        keys = st.sampled_from(sorted(_CONFIG_KEYS["infer"]) + ["model", "ood-slots", ""])
+        values = st.sampled_from(
+            ["0", "-1", "3", "0.1", "nan", "inf", "yes", "off", "message", "contact,song", "x"]
+        ) | st.text(st.characters(blacklist_characters="/\\"), max_size=8)
+        lines = st.tuples(keys, values).map(" = ".join) | st.text(max_size=12)
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.lists(lines, max_size=4))
+        def check(config_lines):
+            cfg = tmp_path / "infer.cfg"
+            cfg.write_text("".join(line + "\n" for line in config_lines))
+            assert main([
+                "infer", "--model", str(workspace["model"]),
+                "--gazetteer", str(workspace["gazetteer"]),
+                "--input", str(utterance),
+                "--output", str(tmp_path / "pred.jsonl"),
+                "--config", str(cfg),
+            ]) in (0, 1, 2)
+
+        check()
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("config", "bad.cfg"), ("gazetteer", "bad.tsv"), ("jsonl", "bad.jsonl"),
+    ("conll", "bad.conll"), ("model", "bad.json"), ("spec", "bad.json"),
+])
+def test_file_not_utf8_names_itself(workspace, tmp_path, capsys, kind, name):
+    bad = tmp_path / name
+    bad.write_bytes(b"#\n\xff\n")
+    argv = {
+        "jsonl": ["train", "--data", bad, "--out", tmp_path / "run"],
+        "conll": ["train", "--data", bad, "--out", tmp_path / "run"],
+        "spec": ["gen", "--spec", bad, "--seed", "1", "--out", tmp_path / "out"],
+    }.get(kind) or infer_args({**workspace, kind: bad}, tmp_path / "pred.jsonl",
+                              ["--config", bad] if kind == "config" else [])
+    assert main([str(arg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "not UTF-8" in err
 
 
 class TestUsageErrors:

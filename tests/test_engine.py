@@ -106,7 +106,7 @@ class TestGenerateRewrites:
         kids = generate_rewrites(cand, parse, TABLE, CFG)
         assert [k.tokens for k in kids] == [("alpha", "<msg>")]
         assert kids[0].provenance == "proper_span"
-        assert kids[0].alignment == (None, Span(1, 3, "msg"))
+        assert kids[0].alignment == (Span(0, 1, ""), Span(1, 3, "msg"))
 
     def test_orphan_inside_run_collapses_as_improper(self):
         cand = original_candidate(("beta", "gamma"))
@@ -126,7 +126,7 @@ class TestGenerateRewrites:
         assert [k.tokens for k in kids] == [("paris", "<msg>")]
 
     def test_span_containing_placeholder_not_recollapsed(self):
-        cand = Candidate(("alpha", "<msg>"), (None, Span(1, 2, "msg")), "seed")
+        cand = Candidate(("alpha", "<msg>"), (Span(0, 1, ""), Span(1, 2, "msg")), "seed")
         parse = fake_parse(["O", "B-msg"])
         # the only candidate move would collapse [1,2) which is already special
         kids = [k for k in generate_rewrites(cand, parse, TABLE, CFG)
@@ -163,7 +163,7 @@ class TestExpansion:
 
     def test_absorbs_uncertain_neighbors_both_sides(self):
         kids = self.run_expansion(
-            ("noise", "<msg>", "noise"), (None, Span(1, 2, "msg"), None),
+            ("noise", "<msg>", "noise"), (Span(0, 1, ""), Span(1, 2, "msg"), Span(2, 3, "")),
             EngineConfig(ood_slots=("msg",), tau=0.5),
         )
         assert [k.tokens for k in kids] == [("<msg>",)]
@@ -171,16 +171,16 @@ class TestExpansion:
 
     def test_confident_neighbor_blocks(self):
         kids = self.run_expansion(
-            ("quiet", "<msg>", "noise"), (None, Span(1, 2, "msg"), None),
+            ("quiet", "<msg>", "noise"), (Span(0, 1, ""), Span(1, 2, "msg"), Span(2, 3, "")),
             EngineConfig(ood_slots=("msg",), tau=0.5),
         )
         # only the right side is absorbed
         assert [k.tokens for k in kids] == [("quiet", "<msg>")]
-        assert kids[0].alignment == (None, Span(1, 3, "msg"))
+        assert kids[0].alignment == (Span(0, 1, ""), Span(1, 3, "msg"))
 
     def test_no_absorbable_neighbor_yields_nothing(self):
         kids = self.run_expansion(
-            ("quiet", "<msg>", "quiet"), (None, Span(1, 2, "msg"), None),
+            ("quiet", "<msg>", "quiet"), (Span(0, 1, ""), Span(1, 2, "msg"), Span(2, 3, "")),
             EngineConfig(ood_slots=("msg",), tau=0.5),
         )
         assert kids == []
@@ -196,7 +196,7 @@ class TestExpansion:
         )
         cand = Candidate(
             ("<city>", "<msg>", "noise"),
-            (Span(0, 1, "city"), Span(1, 2, "msg"), None),
+            (Span(0, 1, "city"), Span(1, 2, "msg"), Span(2, 3, "")),
             "seed",
         )
         parse = backend.parse(cand.tokens)
@@ -221,7 +221,7 @@ class TestExpansion:
             uniform(),
             "note",
         )
-        cand = Candidate(("<m>", "noise"), (Span(0, 1, "b"), None), "seed")
+        cand = Candidate(("<m>", "noise"), (Span(0, 1, "b"), Span(1, 2, "")), "seed")
         parse = backend.parse(cand.tokens)
         cfg_b = EngineConfig(ood_slots=("b",), tau=0.5)
         kids = [
@@ -245,7 +245,7 @@ class TestProjection:
         assert repairs == 0
 
     def test_placeholder_expands_to_begin_inside(self):
-        cand = Candidate(("hi", "<msg>"), (None, Span(1, 4, "msg")), "seed")
+        cand = Candidate(("hi", "<msg>"), (Span(0, 1, ""), Span(1, 4, "msg")), "seed")
         parse = fake_parse(["O", "B-msg"])
         out, repairs = project_labels(cand, parse)
         assert out == labels("O", "B-msg", "I-msg", "I-msg")
@@ -286,7 +286,7 @@ def tiled_candidates(draw):
     for piece in pieces:
         if piece is None:
             tokens.append(f"w{cursor}")
-            alignment.append(None)
+            alignment.append(Span(cursor, cursor + 1, ""))
             cursor += 1
         else:
             length, slot = piece
@@ -309,7 +309,7 @@ def test_projection_is_valid_bio_over_the_source(case):
     assert is_valid_bio(out)
     cursor, repaired = 0, 0
     for pos, entry in enumerate(cand.alignment):
-        if entry is None:
+        if not entry.slot_type:
             want = SlotLabel.parse(predicted[pos])
             if out[cursor] != want:  # only an orphan inside label changes
                 assert want.kind == "I" and out[cursor] == SlotLabel.begin(want.slot_type)

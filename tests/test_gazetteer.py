@@ -3,8 +3,6 @@ import pytest
 from iterdelex.corpus import Dataset, SlotLabel, Utterance
 from iterdelex.gazetteer import (
     Gazetteer,
-    SpecialToken,
-    TokenTable,
     build_gazetteer,
     build_token_table,
     load_gazetteer,
@@ -36,8 +34,6 @@ class TestTokenTable:
         assert table.surface_for("song") == "<media>"
         assert table.surface_for("artist") == "<media>"
         assert table.surface_for("city") == "<city>"
-        assert table.group_of("song") == "media"
-        assert table.group_of("city") is None
         # canonical slot for a shared surface: alphabetically first member
         assert table.slot_for_surface("<media>") == "artist"
 
@@ -56,24 +52,20 @@ class TestTokenTable:
             build_token_table(["contact"], vocabulary={"<contact>", "call"})
         build_token_table(["contact"], vocabulary={"call"})  # fine
 
-    def test_duplicate_slot_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            TokenTable([SpecialToken("<a>", "a"), SpecialToken("<x>", "a")])
-
     def test_shared_surface_requires_common_group(self):
+        # slot "m" keeps its own surface <m>, which is also group m's
         with pytest.raises(ValueError, match="common group"):
-            TokenTable([SpecialToken("<m>", "a"), SpecialToken("<m>", "b")])
+            build_token_table(["m", "b"], {"m": ["b"]})
         with pytest.raises(ValueError, match="common group"):
-            TokenTable(
-                [SpecialToken("<m>", "a", "g1"), SpecialToken("<m>", "b", "g2")]
-            )
-        TokenTable([SpecialToken("<m>", "a", "g"), SpecialToken("<m>", "b", "g")])
+            build_token_table(["a", "m"], {"m": ["a"]})
+        build_token_table(["a", "b"], {"m": ["a", "b"]})
+        build_token_table(["m", "b"], {"m": ["m", "b"]})
 
     def test_special_token_validation(self):
         with pytest.raises(ValueError):
-            SpecialToken("", "slot")
+            build_token_table([""])
         with pytest.raises(ValueError):
-            SpecialToken("<x>", "")
+            build_token_table(["x"], {"": ["x"]})
 
 
 TRAIN = Dataset.from_utterances(
@@ -118,6 +110,12 @@ class TestBuildGazetteer:
         gaz = build_gazetteer(TRAIN, {"when": ["song", "date"]})
         assert ("yesterday",) not in gaz.ambiguous_phrases
         assert gaz.shared_groups == {"when": ("date", "song")}
+
+    def test_bad_shared_groups_rejected(self):
+        with pytest.raises(ValueError, match="group 'g': no slot phrases for 'nosuch'"):
+            build_gazetteer(TRAIN, {"g": ["song", "nosuch"]})
+        with pytest.raises(ValueError, match="common group"):
+            build_gazetteer(TRAIN, {"contact": ["song"]})
 
     def test_requires_gold_labels(self):
         data = Dataset.from_utterances([Utterance(("hi",))])

@@ -42,7 +42,7 @@ class TestCandidate:
     def test_original(self):
         cand = original_candidate(("call", "mom"))
         assert cand.tokens == ("call", "mom")
-        assert cand.alignment == (None, None)
+        assert cand.alignment == (Span(0, 1, ""), Span(1, 2, ""))
         assert cand.natural_count == 2
         assert cand.source_length == 2
         assert cand.provenance == "original"
@@ -50,7 +50,7 @@ class TestCandidate:
     def test_alignment_must_tile(self):
         # span starting past the cursor leaves original token 1 uncovered
         with pytest.raises(ValueError, match="alignment gap"):
-            Candidate(("a", "<contact>"), (None, Span(2, 3, "contact")), "seed")
+            Candidate(("a", "<contact>"), (Span(0, 1, ""), Span(2, 3, "contact")), "seed")
 
     def test_alignment_length_must_match(self):
         with pytest.raises(ValueError, match="one entry per token"):
@@ -63,12 +63,16 @@ class TestCandidate:
     def test_source_extents(self):
         cand = Candidate(
             ("call", "<contact>", "now"),
-            (None, Span(1, 3, "contact"), None),
+            (Span(0, 1, ""), Span(1, 3, "contact"), Span(3, 4, "")),
             "seed",
         )
-        assert cand.source_extents() == ((0, 1), (1, 3), (3, 4))
+        assert tuple((e.start, e.end) for e in cand.alignment) == ((0, 1), (1, 3), (3, 4))
         assert cand.source_length == 4
         assert cand.natural_count == 2
+
+    def test_natural_entry_wider_than_one_token_rejected(self):
+        with pytest.raises(ValueError, match="natural token aligned to 2"):
+            Candidate(("a", "b"), (Span(0, 2, ""), Span(2, 3, "")), "seed")
 
     def test_key_ignores_provenance(self):
         a = Candidate(("x",), (Span(0, 1, "s"),), "seed")
@@ -80,7 +84,7 @@ class TestCandidate:
         # a natural token spelled like a placeholder ties with that
         # placeholder on tokens; the alignment then decides
         natural = original_candidate(("<s>", "x"))
-        placeholder = Candidate(("<s>", "x"), (Span(0, 1, "s"), None), "seed")
+        placeholder = Candidate(("<s>", "x"), (Span(0, 1, "s"), Span(1, 2, "")), "seed")
         assert natural.key() < placeholder.key()
 
 
@@ -198,7 +202,9 @@ class TestSeedCandidates:
     def test_alignments_record_original_spans(self):
         seeds = seed_candidates(("play", "jazz", "for", "mom"), self.G, TABLE)
         both = seeds[1]
-        assert both.alignment == (None, Span(1, 2, "song"), None, Span(3, 4, "contact"))
+        assert both.alignment == (
+            Span(0, 1, ""), Span(1, 2, "song"), Span(2, 3, ""), Span(3, 4, "contact")
+        )
         assert both.source_length == 4
 
     def test_cap_truncates_but_keeps_original(self):
@@ -216,3 +222,40 @@ class TestSeedCandidates:
     def test_no_matches_yields_only_original(self):
         seeds = seed_candidates(("nothing", "here"), self.G, TABLE)
         assert len(seeds) == 1
+
+
+def oracle_alignment(entries):
+    """The oracle's ("nat",) / ("ph", start, end, slot) entries as Spans."""
+    spans, cursor = [], 0
+    for entry in entries:
+        span = Span(cursor, cursor + 1, "") if entry[0] == "nat" else Span(*entry[1:])
+        spans.append(span)
+        cursor = span.end
+    return tuple(spans)
+
+
+GROUPED = build_token_table(SLOTS, {"media": ("album", "song")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_substitute_agrees_with_oracle(data):
+    """One-pass substitution of any sorted, disjoint span subset equals the
+    oracle's, in tokens and in every alignment entry."""
+    tokens = data.draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=10))
+    n = len(tokens)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    spans = [
+        Span(start, end, slot)
+        for start, end in zip(bounds, bounds[1:])
+        if (slot := data.draw(st.sampled_from((None,) + SLOTS)))
+    ]
+    cand = original_candidate(tokens).substitute(spans, GROUPED, "seed")
+    surface_of = {slot: GROUPED.surface_for(slot) for slot in SLOTS}
+    want_tokens, want_alignment = oracle._apply_subset(
+        tokens, [(s.start, s.end, s.slot_type) for s in spans], surface_of
+    )
+    assert cand.tokens == want_tokens
+    assert cand.alignment == oracle_alignment(want_alignment)
+    assert cand.provenance == "seed"

@@ -66,6 +66,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(default_spec(), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("open_content_train", (), "content pools"),
+            ("open_content_test", (), "content pools"),
+            ("fillers", (), "no filler words"),
+            ("closed_slots", {"contact": ()}, "non-empty phrases"),
+            ("closed_slots", {"contact": ((),)}, "non-empty phrases"),
+        ],
+    )
+    def test_empty_word_pools_rejected(self, field, value, message):
+        """Generation would draw from these pools and fail mid-way."""
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(default_spec(), **{field: value})
+
+    def test_intent_weight_must_be_finite(self):
+        for weight in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="weight"):
+                IntentTemplates("x", weight, ("a",))
+
     def test_confusable_rate_needs_confusables(self):
         with pytest.raises(ValueError, match="no confusable words"):
             dataclasses.replace(default_spec(), confusables=())
