@@ -7,12 +7,14 @@ deterministic and read-only so candidate sets can be parsed concurrently.
 
 The scripted backend emits exactly the per-token distributions it was
 configured with, which makes confidence scores hand-computable in tests.
+The caching backend wraps any other to share its parses across callers.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -87,6 +89,41 @@ class Backend(ABC):
     @abstractmethod
     def parse(self, tokens: Sequence[str]) -> ParseResult:
         """Parse a non-empty token sequence. Never fails on unknown tokens."""
+
+
+class CachingBackend(Backend):
+    """A backend that keeps the last ``maxsize`` parses of another, keyed by
+    the token tuple, so that a sequence several utterances reach is parsed
+    once.
+
+    A parse depends only on the wrapped model and the tokens, so nothing
+    (a gazetteer swap included) invalidates an entry. Every caller of a
+    sequence gets the same ``ParseResult``, so its three arrays are made
+    read-only before it is stored.
+    """
+
+    def __init__(self, backend: Backend, maxsize: int):
+        if maxsize < 1:
+            raise ValueError("maxsize must be at least 1")
+        self.label_set = backend.label_set
+        self.intent_set = backend.intent_set
+
+        def parse_read_only(tokens: tuple[str, ...]) -> ParseResult:
+            result = backend.parse(tokens)
+            for array in (result.distributions, result.token_entropies,
+                          result.intent_distribution):
+                array.setflags(write=False)
+            return result
+
+        self._parse = lru_cache(maxsize=maxsize)(parse_read_only)
+
+    def parse(self, tokens: Sequence[str]) -> ParseResult:
+        return self._parse(tuple(tokens))
+
+    def cache_info(self):
+        """``functools`` cache statistics: hits, misses (each one call of
+        the wrapped ``parse``), ``maxsize`` and the current size."""
+        return self._parse.cache_info()
 
 
 # --- scripted backend ------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from iterdelex.augment import AugmentConfig, combine, delexicalize_training
+from iterdelex.backend import CachingBackend
 from iterdelex.corpus import load_dataset, open_text, repair_bio, save_dataset
 from iterdelex.engine import (
     DEFAULT_TAU,
@@ -36,6 +37,9 @@ from iterdelex.synth import generate_corpus, load_spec
 
 DEFAULT_PS = 0.75
 DEFAULT_SEED = 0
+# parses one engine ``infer`` call keeps: about four times the distinct token
+# sequences (1,113) that 700 synthetic test utterances are rewritten to
+PARSE_CACHE_SIZE = 4096
 
 
 class _UsageError(ValueError):
@@ -177,6 +181,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             )
     config = EngineConfig(ood_slots=ood_slots, tau=tau, top_k=top_k)
 
+    # utterances rewritten towards the same template share its parses
+    cache = CachingBackend(backend, PARSE_CACHE_SIZE)
     data = load_dataset(args.input)
     rows = []
     trace_blocks = []
@@ -193,7 +199,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                 "candidates": 1,
             })
         else:
-            outcome = iterative_parse(utt.tokens, backend, gazetteer, table, config)
+            outcome = iterative_parse(utt.tokens, cache, gazetteer, table, config)
             rows.append({
                 "tokens": list(utt.tokens),
                 "intent": outcome.intent,
@@ -210,7 +216,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             f.write(json.dumps(row) + "\n")
     if trace_path:
         Path(str(trace_path)).write_text("\n".join(trace_blocks), encoding="utf-8")
-    mode = "baseline" if baseline else "rewrite engine"
+    if baseline:
+        mode = "baseline"
+    else:
+        info = cache.cache_info()
+        mode = f"rewrite engine, {info.misses} tagger calls, {info.hits} cache hits"
     print(f"parsed {len(rows)} utterances ({mode}) -> {args.output}")
     return 0
 

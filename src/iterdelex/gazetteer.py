@@ -68,16 +68,19 @@ def build_token_table(
 ) -> TokenTable:
     """Create one placeholder per slot type, one shared surface per group.
 
-    Surfaces follow the ``<slot_type>`` / ``<group>`` convention. A slot in
-    two groups, and a group surface that is also a grouped-out slot's own,
-    are rejected. When ``vocabulary`` is given, any collision between a
-    surface and a natural token is rejected too.
+    Surfaces follow the ``<slot_type>`` / ``<group>`` convention. A slot
+    listed twice in one group, a slot in two groups, and a group surface
+    that is also a grouped-out slot's own, are rejected. When ``vocabulary``
+    is given, any collision between a surface and a natural token is
+    rejected too.
     """
     slot_to_group: dict[str, str] = {}
     for gname, slots in (shared_groups or {}).items():
         if not gname:
             raise ValueError("shared group name is empty")
         for s in slots:
+            if slot_to_group.get(s) == gname:
+                raise ValueError(f"group {gname!r} lists slot {s!r} twice")
             if s in slot_to_group:
                 raise ValueError(
                     f"slot {s!r} appears in two shared groups, "
@@ -219,9 +222,9 @@ def _checked_groups(
 ) -> dict[str, Phrase]:
     """The shared groups of ``(name, members)`` rows, once they are known to
     build a token table with ``slot_types``: a repeated group name, a member
-    with no slot phrases, a slot in two groups and a group surface that is
-    also another slot's are each a ``ValueError`` naming ``source`` and the
-    group."""
+    with no slot phrases, a member listed twice, a slot in two groups and a
+    group surface that is also another slot's are each a ``ValueError``
+    naming ``source`` and the group."""
     slots = set(slot_types)
     groups: dict[str, Phrase] = {}
     for name, members in rows:

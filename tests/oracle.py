@@ -21,6 +21,10 @@ id tables; training must hand its fits the same arrays, bit for bit.
 ``reference_objective`` is the tagger's training objective as it was
 computed with scipy's ``logsumexp``, a second ``exp`` and a dense one-hot
 target matrix; the backend's objective must match it to rounding.
+
+``random_world`` draws the small scripted worlds the search is compared in:
+``random_model`` a label inventory and scripted backend, ``random_utterance``
+a gazetteer, an utterance and engine settings for that model's slot types.
 """
 
 from __future__ import annotations
@@ -31,11 +35,82 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
-from iterdelex.backend import ParseResult
+from iterdelex.backend import ParseResult, ScriptedBackend, one_hot, peaked, uniform
+from iterdelex.corpus import SlotLabel
+from iterdelex.gazetteer import Gazetteer, build_token_table
 
 Entry = tuple
 Align = tuple[Entry, ...]
 Cand = tuple[tuple[str, ...], Align]
+
+
+# ---------------------------------------------------------------------------
+# random scripted worlds
+
+WORLD_VOCAB = tuple(f"w{i}" for i in range(10))
+
+
+def random_model(rng):
+    """Random slot types among a, b and c, and a scripted backend over their
+    BIO labels: each of ``WORLD_VOCAB`` gets a uniform, one-hot or peaked
+    row, and each placeholder a row peaked on its begin label."""
+    slots = sorted(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
+    label_names = ["O"]
+    for s in slots:
+        label_names += [f"B-{s}", f"I-{s}"]
+    label_set = tuple(SlotLabel.parse(name) for name in label_names)
+
+    script = {}
+    for word in WORLD_VOCAB:
+        kind = rng.random()
+        if kind < 0.25:
+            script[word] = uniform()
+        elif kind < 0.5:
+            script[word] = one_hot(rng.choice(label_names))
+        else:
+            script[word] = peaked(rng.choice(label_names), rng.uniform(0.3, 0.99))
+    for s in slots:
+        script[f"<{s}>"] = peaked(f"B-{s}", rng.uniform(0.9, 1.0))
+    return slots, ScriptedBackend(label_set, ("only",), script, uniform(), "only")
+
+
+def random_utterance(rng, slots, max_tokens, max_phrases):
+    """A random gazetteer of one- and two-word phrases over ``slots``, its
+    token table, an utterance of ``WORLD_VOCAB`` words, the out-of-domain
+    slot types and tau."""
+    phrases = {}
+    for _ in range(rng.randint(0, max_phrases)):
+        length = rng.randint(1, 2)
+        phrase = tuple(rng.sample(WORLD_VOCAB, length))
+        if phrase not in phrases:
+            phrases[phrase] = rng.choice(slots)
+    slot_phrases = {}
+    for phrase, slot in phrases.items():
+        slot_phrases.setdefault(slot, set()).add(phrase)
+    gazetteer = Gazetteer(
+        slot_phrases={s: frozenset(p) for s, p in slot_phrases.items()},
+        context_phrases=frozenset(),
+        ambiguous_phrases=frozenset(),
+    )
+    table = build_token_table(slots)
+    ood = tuple(sorted(rng.sample(slots, rng.randint(0, len(slots)))))
+    tokens = tuple(rng.choice(WORLD_VOCAB) for _ in range(rng.randint(1, max_tokens)))
+    tau = rng.choice([1e-5, 0.05, 0.3, 0.7])
+    return tokens, gazetteer, table, phrases, ood, tau
+
+
+def random_world(rng, max_tokens, max_phrases):
+    """A random model and one utterance for it: ``(tokens, backend,
+    gazetteer, table, slots, phrases, ood, tau)``."""
+    slots, backend = random_model(rng)
+    tokens, gazetteer, table, phrases, ood, tau = random_utterance(
+        rng, slots, max_tokens, max_phrases
+    )
+    return tokens, backend, gazetteer, table, slots, phrases, ood, tau
+
+
+# ---------------------------------------------------------------------------
+# the reference search
 
 
 def ref_score(parse, floor: float = 1e-12) -> float:

@@ -96,53 +96,6 @@ def test_criterion_01_score_arithmetic():
               "one-hot case returns n/entropy_floor exactly")
 
 
-# ---------------------------------------------------------------------------
-# shared random-world generator for criteria 2 and 3
-
-
-def random_world(rng, max_tokens, max_phrases):
-    """A random label inventory, scripted backend, gazetteer and utterance."""
-    slots = sorted(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
-    label_names = ["O"]
-    for s in slots:
-        label_names += [f"B-{s}", f"I-{s}"]
-    label_set = L(*label_names)
-    vocab = [f"w{i}" for i in range(10)]
-
-    script = {}
-    for word in vocab:
-        kind = rng.random()
-        if kind < 0.25:
-            script[word] = uniform()
-        elif kind < 0.5:
-            script[word] = one_hot(rng.choice(label_names))
-        else:
-            script[word] = peaked(rng.choice(label_names), rng.uniform(0.3, 0.99))
-    for s in slots:
-        script[f"<{s}>"] = peaked(f"B-{s}", rng.uniform(0.9, 1.0))
-    backend = ScriptedBackend(label_set, ("only",), script, uniform(), "only")
-
-    phrases = {}
-    for _ in range(rng.randint(0, max_phrases)):
-        length = rng.randint(1, 2)
-        phrase = tuple(rng.sample(vocab, length))
-        if phrase not in phrases:
-            phrases[phrase] = rng.choice(slots)
-    slot_phrases = {}
-    for phrase, slot in phrases.items():
-        slot_phrases.setdefault(slot, set()).add(phrase)
-    gazetteer = Gazetteer(
-        slot_phrases={s: frozenset(p) for s, p in slot_phrases.items()},
-        context_phrases=frozenset(),
-        ambiguous_phrases=frozenset(),
-    )
-    table = build_token_table(slots)
-    ood = tuple(sorted(rng.sample(slots, rng.randint(0, len(slots)))))
-    tokens = tuple(rng.choice(vocab) for _ in range(rng.randint(1, max_tokens)))
-    tau = rng.choice([1e-5, 0.05, 0.3, 0.7])
-    return tokens, backend, gazetteer, table, slots, phrases, ood, tau
-
-
 def test_criterion_02_termination():
     # the strict decrease of the non-placeholder count on every parent->child
     # edge is asserted inside the engine loop itself; these 1000 runs exercise
@@ -150,7 +103,7 @@ def test_criterion_02_termination():
     rng = random.Random(2002)
     worst_ratio = 0.0
     for _ in range(1000):
-        tokens, backend, gazetteer, table, slots, _, ood, tau = random_world(
+        tokens, backend, gazetteer, table, slots, _, ood, tau = oracle.random_world(
             rng, max_tokens=12, max_phrases=4
         )
         cfg = EngineConfig(
@@ -174,7 +127,7 @@ def test_criterion_03_oracle_equivalence():
     attempts = 0
     while kept < 220 and attempts < 4000:
         attempts += 1
-        tokens, backend, gazetteer, table, slots, phrases, ood, tau = random_world(
+        tokens, backend, gazetteer, table, slots, phrases, ood, tau = oracle.random_world(
             rng, max_tokens=6, max_phrases=3
         )
         if len(find_matches(tokens, gazetteer)) > 2:
@@ -208,7 +161,7 @@ def test_bounded_search_agrees_with_oracle():
     # decides what is evaluated next, down to how ties at the cut break
     rng = random.Random(3113)
     for _ in range(300):
-        tokens, backend, gazetteer, table, slots, phrases, ood, tau = random_world(
+        tokens, backend, gazetteer, table, slots, phrases, ood, tau = oracle.random_world(
             rng, max_tokens=8, max_phrases=4
         )
         top_k, seed_cap = rng.randint(1, 3), rng.randint(1, 5)

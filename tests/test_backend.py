@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterdelex.backend import (
+    CachingBackend,
     DistributionRecipe,
     ParseResult,
     ScriptedBackend,
@@ -179,3 +180,53 @@ class TestScriptedBackend:
         np.testing.assert_array_equal(a.token_entropies, b.token_entropies)
         assert a.predicted_labels == b.predicted_labels
         assert a.predicted_intent == b.predicted_intent
+
+
+class TestCachingBackend:
+    def make(self, maxsize):
+        scripted = ScriptedBackend(LABELS, INTENTS, {"mom": one_hot("B-contact")},
+                                   uniform(), "call")
+        return scripted, CachingBackend(scripted, maxsize)
+
+    def test_repeated_sequence_is_parsed_once(self):
+        scripted, cache = self.make(4)
+        assert (cache.label_set, cache.intent_set) == (LABELS, INTENTS)
+        first = cache.parse(["call", "mom"])
+        assert cache.parse(("call", "mom")) is first
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        fresh = scripted.parse(["call", "mom"])
+        assert first.distributions.tobytes() == fresh.distributions.tobytes()
+        assert first.predicted_labels == fresh.predicted_labels
+
+    def test_least_recently_used_parse_is_evicted(self):
+        _, cache = self.make(2)
+        a = cache.parse(["a"])
+        cache.parse(["b"])
+        assert cache.parse(["a"]) is a  # now "b" is the least recently used
+        cache.parse(["c"])
+        assert cache.parse(["a"]) is a
+        cache.parse(["b"])
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 4, 2)
+
+    def test_cached_arrays_are_read_only(self):
+        _, cache = self.make(4)
+        parse = cache.parse(["call", "mom"])
+        for array in (parse.distributions, parse.token_entropies,
+                      parse.intent_distribution):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        assert cache.parse(["call", "mom"]).distributions[1, 1] == 1.0
+
+    def test_errors_pass_through_uncached(self):
+        _, cache = self.make(4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="empty"):
+                cache.parse([])
+        assert cache.cache_info().currsize == 0
+
+    def test_maxsize_must_be_positive(self):
+        scripted, _ = self.make(1)
+        with pytest.raises(ValueError, match="maxsize"):
+            CachingBackend(scripted, 0)

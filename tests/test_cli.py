@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterdelex.cli import _CONFIG_KEYS, build_parser, main
-from iterdelex.corpus import SlotLabel
+from iterdelex.corpus import SlotLabel, load_dataset
+from iterdelex.engine import EngineConfig, iterative_parse
+from iterdelex.gazetteer import load_gazetteer
 from iterdelex.loglinear import LogLinearBackend
 from iterdelex.synth import default_spec, save_spec
 
@@ -202,6 +204,55 @@ class TestInfer:
                                   "improper_span", "expansion"}
             assert tokens
 
+    def test_engine_equals_uncached_loop(self, workspace, tmp_path, capsys):
+        """Output and trace bytes are those of one plain ``iterative_parse``
+        per utterance, and the summary's tagger calls and cache hits add up
+        to the ``parse`` calls those runs made: each distinct token sequence
+        is a call, each repeat a hit."""
+        out, trace = tmp_path / "pred.jsonl", tmp_path / "trace.txt"
+        assert main(infer_args(workspace, out,
+                               ["--ood-slots", "message", "--trace", str(trace)])) == 0
+        printed = capsys.readouterr().out
+
+        model = LogLinearBackend.load(workspace["model"])
+        parsed = []
+
+        class Counting:
+            label_set, intent_set = model.label_set, model.intent_set
+
+            def parse(self, tokens):
+                parsed.append(tuple(tokens))
+                return model.parse(tokens)
+
+        gazetteer = load_gazetteer(workspace["gazetteer"])
+        config = EngineConfig(ood_slots=("message",))
+        rows, blocks = [], []
+        for utt in load_dataset(workspace["test"]):
+            outcome = iterative_parse(utt.tokens, Counting(), gazetteer,
+                                      gazetteer.token_table(), config)
+            rows.append(json.dumps({
+                "tokens": list(utt.tokens),
+                "intent": outcome.intent,
+                "labels": [str(lab) for lab in outcome.labels],
+                "delexicalized": list(outcome.best.tokens),
+                "iterations": outcome.iterations_run,
+                "candidates": outcome.candidates_evaluated,
+            }) + "\n")
+            blocks.append(outcome.trace_text())
+        assert out.read_text() == "".join(rows)
+        assert trace.read_text() == "\n".join(blocks)
+
+        calls = len(set(parsed))
+        hits = len(parsed) - calls
+        assert hits > 0
+        assert printed == (f"parsed 60 utterances (rewrite engine, {calls} tagger calls, "
+                           f"{hits} cache hits) -> {out}\n")
+
+    def test_baseline_summary_unchanged(self, workspace, tmp_path, capsys):
+        out = tmp_path / "base.jsonl"
+        assert main(infer_args(workspace, out, ["--baseline"])) == 0
+        assert capsys.readouterr().out == f"parsed 60 utterances (baseline) -> {out}\n"
+
     def test_trace_incompatible_with_baseline(self, workspace, tmp_path, capsys):
         out = tmp_path / "pred.jsonl"
         code = main(infer_args(workspace, out,
@@ -319,6 +370,8 @@ class TestInfer:
         pytest.param("group\tcontact\tsong\n", "'contact'", id="surface-collision"),
         pytest.param("group\tg\tsong\ngroup\th\tsong time\n", "'h'", id="slot-in-two-groups"),
         pytest.param("group\tg\tsong\ngroup\tg\ttime\n", "'g'", id="repeated-group"),
+        pytest.param("group\tg\tsong song\n", "group 'g' lists slot 'song' twice",
+                     id="slot-listed-twice"),
     ])
     def test_bad_group_rows_name_file_and_group(self, workspace, tmp_path, capsys, rows, group):
         gazetteer = tmp_path / "gaz.tsv"

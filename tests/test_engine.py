@@ -1,12 +1,15 @@
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from iterdelex.backend import (
+    CachingBackend,
     ParseResult,
     ScriptedBackend,
     entropy,
@@ -477,3 +480,37 @@ class TestTerminationBound:
             tokens = tuple(["beta"] + ["gamma"] * (n - 1))
             out = iterative_parse(tokens, backend, gaz({}), TABLE, CFG)
             assert out.iterations_run <= n
+
+
+def outcome_fingerprint(out):
+    """Everything an outcome reports, with the winning parse as bytes."""
+    parse = out.parse
+    return (out.best.key(), out.best.provenance, out.score, out.iterations_run,
+            out.candidates_evaluated, out.labels, out.intent, out.repairs,
+            out.trace_text(), parse.distributions.tobytes(),
+            parse.token_entropies.tobytes(), parse.intent_distribution.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 10))
+def test_shared_cache_leaves_outcomes_unchanged(seed, maxsize, n_utterances):
+    """Utterances of one random model, each with its own gazetteer and
+    settings, run through one cache small enough to evict: every outcome
+    equals the uncached backend's. About half the utterances repeat an
+    earlier one's words, as after a gazetteer swap, so that parses are
+    shared."""
+    rng = random.Random(seed)
+    slots, backend = oracle.random_model(rng)
+    cache = CachingBackend(backend, maxsize)
+    earlier = []
+    for _ in range(n_utterances):
+        tokens, gazetteer, table, _, ood, tau = oracle.random_utterance(
+            rng, slots, max_tokens=4, max_phrases=4
+        )
+        if earlier and rng.random() < 0.5:
+            tokens = rng.choice(earlier)
+        earlier.append(tokens)
+        config = EngineConfig(ood_slots=ood, tau=tau, top_k=rng.randint(1, 4))
+        cached = iterative_parse(tokens, cache, gazetteer, table, config)
+        plain = iterative_parse(tokens, backend, gazetteer, table, config)
+        assert outcome_fingerprint(cached) == outcome_fingerprint(plain)
