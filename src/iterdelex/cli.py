@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -24,13 +25,7 @@ from iterdelex.engine import (
     EngineConfig,
     iterative_parse,
 )
-from iterdelex.gazetteer import (
-    build_gazetteer,
-    build_token_table,
-    load_gazetteer,
-    save_gazetteer,
-    training_vocabulary,
-)
+from iterdelex.gazetteer import build_gazetteer, load_gazetteer, save_gazetteer
 from iterdelex.loglinear import LogLinearBackend, TrainingParams
 from iterdelex.metrics import evaluate
 from iterdelex.synth import generate_corpus, load_spec
@@ -126,8 +121,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if utt.gold_labels is None or utt.gold_intent is None:
             raise ValueError(f"{args.data}: training data must carry labels and intents")
 
-    table = build_token_table(data.slot_types, vocabulary=training_vocabulary(data))
     gazetteer = build_gazetteer(data)
+    table = gazetteer.token_table()
     delexed, stats = delexicalize_training(
         data, AugmentConfig(substitution_prob=ps, rng_seed=seed, token_table=table)
     )
@@ -184,44 +179,42 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     # utterances rewritten towards the same template share its parses
     cache = CachingBackend(backend, PARSE_CACHE_SIZE)
     data = load_dataset(args.input)
-    rows = []
-    trace_blocks = []
-    for utt in data:
-        if baseline:
-            parse = backend.parse(utt.tokens)
-            labels, _ = repair_bio(parse.predicted_labels)
-            rows.append({
-                "tokens": list(utt.tokens),
-                "intent": parse.predicted_intent,
-                "labels": [str(lab) for lab in labels],
-                "delexicalized": list(utt.tokens),
-                "iterations": 0,
-                "candidates": 1,
-            })
-        else:
-            outcome = iterative_parse(utt.tokens, cache, gazetteer, table, config)
-            rows.append({
-                "tokens": list(utt.tokens),
-                "intent": outcome.intent,
-                "labels": [str(lab) for lab in outcome.labels],
-                "delexicalized": list(outcome.best.tokens),
-                "iterations": outcome.iterations_run,
-                "candidates": outcome.candidates_evaluated,
-            })
-            if trace_path:
-                trace_blocks.append(outcome.trace_text())
-
-    with Path(args.output).open("w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row) + "\n")
-    if trace_path:
-        Path(str(trace_path)).write_text("\n".join(trace_blocks), encoding="utf-8")
+    # both files are opened before the first parse, so a bad path costs nothing
+    with Path(args.output).open("w", encoding="utf-8") as out, (
+        Path(str(trace_path)).open("w", encoding="utf-8") if trace_path else nullcontext()
+    ) as trace:
+        for n, utt in enumerate(data):
+            if baseline:
+                parse = backend.parse(utt.tokens)
+                labels, _ = repair_bio(parse.predicted_labels)
+                row = {
+                    "tokens": list(utt.tokens),
+                    "intent": parse.predicted_intent,
+                    "labels": [str(lab) for lab in labels],
+                    "delexicalized": list(utt.tokens),
+                    "iterations": 0,
+                    "candidates": 1,
+                }
+            else:
+                outcome = iterative_parse(utt.tokens, cache, gazetteer, table, config)
+                row = {
+                    "tokens": list(utt.tokens),
+                    "intent": outcome.intent,
+                    "labels": [str(lab) for lab in outcome.labels],
+                    "delexicalized": list(outcome.best.tokens),
+                    "iterations": outcome.iterations_run,
+                    "candidates": outcome.candidates_evaluated,
+                }
+                if trace:
+                    # blocks are separated by one newline, none after the last
+                    trace.write(("\n" if n else "") + outcome.trace_text())
+            out.write(json.dumps(row) + "\n")
     if baseline:
         mode = "baseline"
     else:
         info = cache.cache_info()
         mode = f"rewrite engine, {info.misses} tagger calls, {info.hits} cache hits"
-    print(f"parsed {len(rows)} utterances ({mode}) -> {args.output}")
+    print(f"parsed {len(data)} utterances ({mode}) -> {args.output}")
     return 0
 
 

@@ -193,7 +193,19 @@ class _LoaderState:
     repairs: int = 0
     utterances: list[Utterance] = field(default_factory=list)
 
-    def add(self, tokens: list[str], labels: Optional[list[SlotLabel]], intent: Optional[str]) -> None:
+    def add(
+        self,
+        tokens: list[str],
+        labels: Optional[list[SlotLabel]],
+        intent: Optional[str],
+        where: str,
+    ) -> None:
+        """Append one utterance that starts at ``where`` (file and line). A token
+        that is empty or holds whitespace would not survive a gazetteer row
+        or a re-split, so it is a ``ValueError``."""
+        if " ".join(tokens).split() != tokens:
+            bad = next(t for t in tokens if t.split() != [t])
+            raise ValueError(f"{where}: token {bad!r} is empty or contains whitespace")
         if self.lowercase:
             tokens = [t.lower() for t in tokens]
         fixed: Optional[tuple[SlotLabel, ...]] = None
@@ -207,12 +219,13 @@ def _load_conll(path: Path, state: _LoaderState) -> None:
     tokens: list[str] = []
     labels: list[SlotLabel] = []
     intent: Optional[str] = None
+    start = 0  # line of the utterance's first token
     with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line.strip():
                 if tokens:
-                    state.add(tokens, labels, intent)
+                    state.add(tokens, labels, intent, f"{path}:{start}")
                     tokens, labels, intent = [], [], None
                 continue
             if line.startswith("#intent="):
@@ -229,10 +242,12 @@ def _load_conll(path: Path, state: _LoaderState) -> None:
                 label = SlotLabel.parse(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not tokens:
+                start = lineno
             tokens.append(parts[0])
             labels.append(label)
     if tokens:
-        state.add(tokens, labels, intent)
+        state.add(tokens, labels, intent, f"{path}:{start}")
 
 
 def _is_string_list(value: object) -> bool:
@@ -275,7 +290,7 @@ def _load_jsonl(path: Path, state: _LoaderState) -> None:
                 raise ValueError(f"{path}:{lineno}: 'intent' is not a string")
             if intent is not None and not intent.strip():
                 raise ValueError(f"{path}:{lineno}: intent name is empty")
-            state.add(tokens, labels, intent)
+            state.add(tokens, labels, intent, f"{path}:{lineno}")
 
 
 def load_dataset(path: str | Path, fmt: str = "auto", *, lowercase: bool = True) -> Dataset:

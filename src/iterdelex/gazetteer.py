@@ -61,24 +61,29 @@ class TokenTable:
 
 
 def build_token_table(
-    slot_types: Sequence[str],
+    slot_types: Iterable[str],
     shared_groups: Optional[Mapping[str, Sequence[str]]] = None,
     *,
     vocabulary: Optional[set[str]] = None,
 ) -> TokenTable:
     """Create one placeholder per slot type, one shared surface per group.
 
-    Surfaces follow the ``<slot_type>`` / ``<group>`` convention. A slot
+    Surfaces follow the ``<slot_type>`` / ``<group>`` convention. This is
+    the one place that knows the shared-group rules: an empty group name, a
+    member that is none of ``slot_types`` (it has no slot phrases), a slot
     listed twice in one group, a slot in two groups, and a group surface
-    that is also a grouped-out slot's own, are rejected. When ``vocabulary``
-    is given, any collision between a surface and a natural token is
-    rejected too.
+    that is also a grouped-out slot's own are each a ``ValueError`` naming
+    the group. When ``vocabulary`` is given, any collision between a surface
+    and a natural token is rejected too.
     """
+    slots = set(slot_types)
     slot_to_group: dict[str, str] = {}
-    for gname, slots in (shared_groups or {}).items():
+    for gname, members in (shared_groups or {}).items():
         if not gname:
             raise ValueError("shared group name is empty")
-        for s in slots:
+        for s in members:
+            if s not in slots:
+                raise ValueError(f"group {gname!r}: no slot phrases for {s!r}")
             if slot_to_group.get(s) == gname:
                 raise ValueError(f"group {gname!r} lists slot {s!r} twice")
             if s in slot_to_group:
@@ -89,7 +94,7 @@ def build_token_table(
             slot_to_group[s] = gname
     surface_of: dict[str, str] = {}
     group_of_surface: dict[str, Optional[str]] = {}
-    for slot in sorted(set(slot_types)):
+    for slot in sorted(slots):
         if not slot:
             raise ValueError("slot type is empty")
         group = slot_to_group.get(slot)
@@ -116,15 +121,14 @@ class Gazetteer:
     ambiguous_phrases: frozenset[Phrase]
     shared_groups: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def token_table(self, *, vocabulary: Optional[set[str]] = None) -> TokenTable:
-        """Placeholder table for exactly the slot types this gazetteer covers."""
-        return build_token_table(
-            sorted(self.slot_phrases), self.shared_groups, vocabulary=vocabulary
-        )
+    def token_table(self) -> TokenTable:
+        """Placeholder table for exactly the slot types this gazetteer covers;
+        built on first use, once per gazetteer, by ``build_token_table``."""
+        return self._token_table
 
-    def phrases_with_types(self) -> dict[Phrase, list[str]]:
-        """All slot phrases with the sorted list of slot types attesting them."""
-        return _slots_by_phrase(self.slot_phrases)
+    @cached_property
+    def _token_table(self) -> TokenTable:
+        return build_token_table(self.slot_phrases, self.shared_groups)
 
     @cached_property
     def match_table(self) -> dict[Phrase, str]:
@@ -149,16 +153,6 @@ def _lower(phrase: Phrase) -> Phrase:
     return phrase if lowered == phrase else lowered  # keeps one copy in memory
 
 
-def _slots_by_phrase(
-    slot_phrases: Mapping[str, Iterable[Phrase]],
-) -> dict[Phrase, list[str]]:
-    out: dict[Phrase, list[str]] = {}
-    for slot in sorted(slot_phrases):
-        for phrase in slot_phrases[slot]:
-            out.setdefault(phrase, []).append(slot)
-    return out
-
-
 def build_gazetteer(
     train: Dataset,
     shared_groups: Optional[Mapping[str, Sequence[str]]] = None,
@@ -167,14 +161,12 @@ def build_gazetteer(
 ) -> Gazetteer:
     """Collect slot, context and ambiguous phrase sets from gold labels.
 
-    A phrase is ambiguous when it is attested under two or more slot types
-    that are not members of one shared group. Context phrases are all
-    n-grams (up to ``context_ngram_cap`` tokens) inside maximal all-Outside
-    runs.
+    A phrase is ambiguous when its slot types map to two or more placeholder
+    surfaces, that is when they are not members of one shared group. Context
+    phrases are all n-grams (up to ``context_ngram_cap`` tokens) inside
+    maximal all-Outside runs. Bad shared groups, and a placeholder surface
+    that is also a token of ``train``, are a ``ValueError``.
     """
-    groups = {g: frozenset(slots) for g, slots in (shared_groups or {}).items()}
-    slot_to_group = {s: g for g, slots in groups.items() for s in slots}
-
     slot_phrases: dict[str, set[Phrase]] = {}
     context: set[Phrase] = set()
     for utt in train:
@@ -197,52 +189,20 @@ def build_gazetteer(
                         context.add(run[j:j + n])
                 run_start = None
 
-    ambiguous: set[Phrase] = set()
-    for phrase, slots in _slots_by_phrase(slot_phrases).items():
-        if len(slots) < 2:
-            continue
-        phrase_groups = {slot_to_group.get(s, f"__solo__{s}") for s in slots}
-        if len(phrase_groups) > 1:
-            ambiguous.add(phrase)
+    groups = {g: tuple(sorted(slots)) for g, slots in (shared_groups or {}).items()}
+    vocabulary = {tok for utt in train for tok in utt.tokens}
+    table = build_token_table(slot_phrases, groups, vocabulary=vocabulary)
+    surfaces_of: dict[Phrase, set[str]] = {}
+    for slot, phrases in slot_phrases.items():
+        for phrase in phrases:
+            surfaces_of.setdefault(phrase, set()).add(table.surface_for(slot))
 
     return Gazetteer(
         slot_phrases={s: frozenset(p) for s, p in slot_phrases.items()},
         context_phrases=frozenset(context),
-        ambiguous_phrases=frozenset(ambiguous),
-        shared_groups=_checked_groups(
-            [(g, tuple(sorted(slots))) for g, slots in groups.items()],
-            slot_phrases,
-            "shared groups",
-        ),
+        ambiguous_phrases=frozenset(p for p, s in surfaces_of.items() if len(s) > 1),
+        shared_groups=groups,
     )
-
-
-def _checked_groups(
-    rows: Sequence[tuple[str, Phrase]], slot_types: Iterable[str], source: object
-) -> dict[str, Phrase]:
-    """The shared groups of ``(name, members)`` rows, once they are known to
-    build a token table with ``slot_types``: a repeated group name, a member
-    with no slot phrases, a member listed twice, a slot in two groups and a
-    group surface that is also another slot's are each a ``ValueError``
-    naming ``source`` and the group."""
-    slots = set(slot_types)
-    groups: dict[str, Phrase] = {}
-    for name, members in rows:
-        if name in groups:
-            raise ValueError(f"{source}: group {name!r} is defined twice")
-        missing = [s for s in members if s not in slots]
-        if missing:
-            raise ValueError(f"{source}: group {name!r}: no slot phrases for {missing[0]!r}")
-        groups[name] = members
-    try:
-        build_token_table(slots, groups)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    return groups
-
-
-def training_vocabulary(train: Dataset) -> set[str]:
-    return {tok for utt in train for tok in utt.tokens}
 
 
 def save_gazetteer(gazetteer: Gazetteer, path: str | Path) -> None:
@@ -266,7 +226,7 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     slot_phrases: dict[str, set[Phrase]] = {}
     context: set[Phrase] = set()
     ambiguous: set[Phrase] = set()
-    group_rows: list[tuple[str, Phrase]] = []
+    groups: dict[str, Phrase] = {}
     with open_text(p) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
@@ -290,12 +250,19 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
             elif kind == "group":
                 if not slot:
                     raise ValueError(f"{p}:{lineno}: group row without a group name")
-                group_rows.append((slot, phrase))
+                if slot in groups:
+                    raise ValueError(f"{p}:{lineno}: group {slot!r} is defined twice")
+                groups[slot] = phrase
             else:
                 raise ValueError(f"{p}:{lineno}: unknown row kind {kind!r}")
-    return Gazetteer(
+    gazetteer = Gazetteer(
         slot_phrases={s: frozenset(p) for s, p in slot_phrases.items()},
         context_phrases=frozenset(context),
         ambiguous_phrases=frozenset(ambiguous),
-        shared_groups=_checked_groups(group_rows, slot_phrases, p),
+        shared_groups=groups,
     )
+    try:
+        gazetteer.token_table()
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
+    return gazetteer

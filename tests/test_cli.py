@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterdelex import cli
 from iterdelex.cli import _CONFIG_KEYS, build_parser, main
 from iterdelex.corpus import SlotLabel, load_dataset
 from iterdelex.engine import EngineConfig, iterative_parse
@@ -151,6 +152,31 @@ class TestTrain:
     def test_missing_data_is_io_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "run")]) == 2
+
+    def test_token_empty_or_with_whitespace_rejected(self, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(
+            json.dumps({"tokens": ["play", ""], "labels": ["O", "B-song"],
+                        "intent": "play"}) + "\n"
+            + json.dumps({"tokens": ["call", "john smith"], "labels": ["O", "B-contact"],
+                          "intent": "call"}) + "\n"
+        )
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{data}:1: token ''" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_placeholder_surface_in_corpus_rejected(self, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_text("".join(
+            json.dumps({"tokens": ["call", name], "labels": ["O", "B-contact"],
+                        "intent": "call"}) + "\n"
+            for name in ("bob", "<contact>")
+        ))
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            "error: placeholder surface '<contact>' collides with a training token\n"
+        )
 
 
 def infer_args(ws, output, extra=()):
@@ -412,6 +438,20 @@ class TestInfer:
 
         check()
 
+    @pytest.mark.parametrize("flag", ["--output", "--trace"])
+    def test_unwritable_output_fails_before_parsing(self, workspace, tmp_path, capsys,
+                                                     monkeypatch, flag):
+        def parse(*args):
+            raise AssertionError("parsed before the output files were opened")
+
+        monkeypatch.setattr(cli, "iterative_parse", parse)
+        paths = {"--output": tmp_path / "pred.jsonl", "--trace": tmp_path / "trace.txt"}
+        paths[flag] = tmp_path / "missing" / paths[flag].name
+        args = infer_args(workspace, paths["--output"], ["--trace", str(paths["--trace"])])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(paths[flag]) in err
+
     def test_missing_model_is_io_error(self, workspace, tmp_path):
         code = main([
             "infer", "--model", str(tmp_path / "nope.json"),
@@ -522,7 +562,9 @@ class TestConfigFiles:
         keys = st.sampled_from(sorted(_CONFIG_KEYS["infer"]) + ["model", "ood-slots", ""])
         values = st.sampled_from(
             ["0", "-1", "3", "0.1", "nan", "inf", "yes", "off", "message", "contact,song", "x"]
-        ) | st.text(st.characters(blacklist_characters="/\\"), max_size=8)
+        ) | st.text(  # a surrogate cannot be written to a UTF-8 file
+            st.characters(blacklist_characters="/\\", blacklist_categories=("Cs",)), max_size=8
+        )
         lines = st.tuples(keys, values).map(" = ".join) | st.text(max_size=12)
 
         @settings(max_examples=100, deadline=None)

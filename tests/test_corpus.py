@@ -1,4 +1,6 @@
+import json
 import logging
+import re
 
 import pytest
 
@@ -197,6 +199,27 @@ class TestIO:
         path = tmp_path / "bad.conll"
         path.write_text("#intent=call\ncall\tO\n\n#intent= \nbob\tB-contact\n")
         with pytest.raises(ValueError, match=r"bad\.conll:4: intent name is empty"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("token", ["", " ", "john smith", "tab\there", "nbsp\u00a0x"])
+    def test_jsonl_token_empty_or_with_whitespace_rejected(self, tmp_path, token):
+        path = tmp_path / "bad.jsonl"
+        record = {"tokens": ["call", token], "labels": ["O", "B-contact"]}
+        path.write_text('{"tokens": ["ok"]}\n' + json.dumps(record) + "\n")
+        with pytest.raises(
+            ValueError,
+            match=rf"bad\.jsonl:2: token {re.escape(repr(token))} is empty or contains whitespace",
+        ):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("token", ["", " ", "john smith"])
+    def test_conll_token_empty_or_with_whitespace_rejected(self, tmp_path, token):
+        path = tmp_path / "bad.conll"
+        path.write_text(f"ok\tO\n\n#intent=call\ncall\tO\n{token}\tB-contact\n")
+        with pytest.raises(
+            ValueError,
+            match=rf"bad\.conll:4: token {re.escape(repr(token))} is empty or contains whitespace",
+        ):
             load_dataset(path)
 
     def test_jsonl_invalid_json(self, tmp_path):

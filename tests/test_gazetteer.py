@@ -1,4 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_seed import PHRASES, SLOTS
 
 from iterdelex.corpus import Dataset, SlotLabel, Utterance
 from iterdelex.gazetteer import (
@@ -7,7 +13,6 @@ from iterdelex.gazetteer import (
     build_token_table,
     load_gazetteer,
     save_gazetteer,
-    training_vocabulary,
 )
 
 
@@ -122,10 +127,6 @@ class TestBuildGazetteer:
         with pytest.raises(ValueError, match="gold labels"):
             build_gazetteer(data)
 
-    def test_phrases_with_types_sorted(self):
-        gaz = build_gazetteer(TRAIN)
-        assert gaz.phrases_with_types()[("yesterday",)] == ["date", "song"]
-
     def test_max_phrase_len(self):
         gaz = build_gazetteer(TRAIN)
         assert gaz.max_phrase_len == 2
@@ -139,10 +140,18 @@ class TestBuildGazetteer:
         assert table.surface_for("date") == "<when>"
         assert table.surface_for("contact") == "<contact>"
 
-    def test_training_vocabulary(self):
-        vocab = training_vocabulary(TRAIN)
-        assert {"call", "john", "yesterday"} <= vocab
-        assert "<contact>" not in vocab
+    def test_token_table_built_once(self):
+        gaz = build_gazetteer(TRAIN)
+        assert gaz.token_table() is gaz.token_table()
+
+    def test_placeholder_surface_in_training_tokens_rejected(self):
+        data = Dataset.from_utterances(
+            [*TRAIN, utt("call <contact> now", "O B-contact O")]
+        )
+        with pytest.raises(
+            ValueError, match="^placeholder surface '<contact>' collides with a training token$"
+        ):
+            build_gazetteer(data)
 
 
 class TestGazetteerIO:
@@ -188,3 +197,51 @@ class TestGazetteerIO:
         loaded = load_gazetteer(path)
         assert ("john",) in loaded.slot_phrases["contact"]
         assert ("call",) in loaded.context_phrases
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_random_corpora_ambiguity_and_round_trip(data):
+    """On random labeled corpora and random valid shared groups, a phrase is
+    ambiguous exactly when two or more slot types attest it and they are not
+    all in one group; a save and a load give back an equal gazetteer with
+    the same placeholder surfaces and match table."""
+    segment = st.tuples(st.sampled_from((None,) + SLOTS), PHRASES)
+    corpus = data.draw(st.lists(st.lists(segment, min_size=1, max_size=4),
+                                min_size=1, max_size=6))
+    utterances, slots_of = [], {}
+    for segments in corpus:
+        tokens, tags = [], []
+        for slot, phrase in segments:
+            tokens += phrase
+            if slot is None:
+                tags += ["O"] * len(phrase)
+            else:
+                tags += [f"B-{slot}"] + [f"I-{slot}"] * (len(phrase) - 1)
+                slots_of.setdefault(phrase, set()).add(slot)
+        utterances.append(utt(" ".join(tokens), " ".join(tags)))
+    attested = sorted(set().union(*slots_of.values()))
+
+    # each attested slot joins one of two groups or stands alone; a group
+    # may be named after one of its own members, never after a solo slot
+    names = st.sampled_from((None, "media", "other"))
+    group_of = {s: g for s in attested if (g := data.draw(names))}
+    groups = {}
+    for slot, g in group_of.items():
+        groups.setdefault(g, []).append(slot)
+    if groups and data.draw(st.booleans()):
+        members = groups.pop(data.draw(st.sampled_from(sorted(groups))))
+        groups[members[0]] = members
+
+    gaz = build_gazetteer(Dataset.from_utterances(utterances), groups)
+    assert gaz.ambiguous_phrases == {
+        phrase for phrase, slots in slots_of.items()
+        if len(slots) >= 2 and not any(slots <= set(ms) for ms in groups.values())
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gaz.tsv"
+        save_gazetteer(gaz, path)
+        loaded = load_gazetteer(path)
+    assert loaded == gaz
+    assert loaded.token_table().surfaces == gaz.token_table().surfaces
+    assert loaded.match_table == gaz.match_table
