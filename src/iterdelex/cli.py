@@ -168,6 +168,10 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         ood_slots = table.slot_types
     else:
         ood_slots = tuple(s.strip() for s in str(ood_raw).split(",") if s.strip())
+        if not ood_slots:
+            raise ValueError(
+                f"--ood-slots names no slot type (has: {', '.join(table.slot_types)})"
+            )
         unknown = [s for s in ood_slots if s not in table.slot_types]
         if unknown:
             raise ValueError(

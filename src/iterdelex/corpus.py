@@ -31,9 +31,9 @@ INSIDE = "I"
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[IO[str]]:
-    """Open ``path`` for reading as UTF-8 text; bytes that do not decode
-    raise a ``ValueError`` naming the file."""
-    with Path(path).open("r", encoding="utf-8") as f:
+    """Open ``path`` for reading as UTF-8 text, skipping a leading byte-order
+    mark; bytes that do not decode raise a ``ValueError`` naming the file."""
+    with Path(path).open("r", encoding="utf-8-sig") as f:
         try:
             yield f
         except UnicodeDecodeError as exc:

@@ -17,6 +17,7 @@ a single shared surface.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -133,15 +134,12 @@ class Gazetteer:
     @cached_property
     def match_table(self) -> dict[Phrase, str]:
         """Lowercased slot phrase -> its smallest slot type, leaving out context
-        and ambiguous phrases; built on first use, once per gazetteer."""
-        excluded = {_lower(p) for p in self.context_phrases | self.ambiguous_phrases}
-        table: dict[Phrase, str] = {}
-        for slot in sorted(self.slot_phrases, reverse=True):  # smallest written last
-            for phrase in self.slot_phrases[slot]:
-                key = _lower(phrase)
-                if key not in excluded:
-                    table[key] = slot
-        return table
+        and ambiguous phrases; built once per gazetteer, by ``load_gazetteer``
+        or else on first use."""
+        return _match_table(
+            {slot: {_lower(p) for p in phrases} for slot, phrases in self.slot_phrases.items()},
+            {_lower(p) for p in self.context_phrases | self.ambiguous_phrases},
+        )
 
     @cached_property
     def max_phrase_len(self) -> int:
@@ -151,6 +149,18 @@ class Gazetteer:
 def _lower(phrase: Phrase) -> Phrase:
     lowered = tuple(map(str.lower, phrase))
     return phrase if lowered == phrase else lowered  # keeps one copy in memory
+
+
+def _match_table(
+    keys_by_slot: Mapping[str, Iterable[Phrase]], excluded: Iterable[Phrase]
+) -> dict[Phrase, str]:
+    """Key -> its smallest slot type, for every key not in ``excluded``."""
+    table: dict[Phrase, str] = {}
+    for slot in sorted(keys_by_slot, reverse=True):  # smallest written last
+        table.update(dict.fromkeys(keys_by_slot[slot], slot))  # reuses the sets' hashes
+    for key in excluded:
+        table.pop(key, None)
+    return table
 
 
 def build_gazetteer(
@@ -222,39 +232,43 @@ def save_gazetteer(gazetteer: Gazetteer, path: str | Path) -> None:
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
+    """Read a gazetteer TSV, skipping lines of whitespace, and build its
+    placeholder and match tables, so the first parse after a reload builds none."""
     p = Path(path)
-    slot_phrases: dict[str, set[Phrase]] = {}
-    context: set[Phrase] = set()
-    ambiguous: set[Phrase] = set()
+    slot_phrases: defaultdict[str, list[Phrase]] = defaultdict(list)
+    context: list[Phrase] = []
+    ambiguous: list[Phrase] = []
     groups: dict[str, Phrase] = {}
     with open_text(p) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
+        text = f.read()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        try:
+            kind, slot, phrase_text = line.split("\t")
+        except ValueError:
             if not line.strip():
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{p}:{lineno}: expected 3 tab-separated columns")
-            kind, slot, phrase_text = parts
-            phrase = tuple(phrase_text.split())
-            if not phrase:
-                raise ValueError(f"{p}:{lineno}: empty phrase")
-            if kind == "slot":
-                if not slot:
-                    raise ValueError(f"{p}:{lineno}: slot row without a slot type")
-                slot_phrases.setdefault(slot, set()).add(phrase)
-            elif kind == "context":
-                context.add(phrase)
-            elif kind == "ambiguous":
-                ambiguous.add(phrase)
-            elif kind == "group":
-                if not slot:
-                    raise ValueError(f"{p}:{lineno}: group row without a group name")
-                if slot in groups:
-                    raise ValueError(f"{p}:{lineno}: group {slot!r} is defined twice")
-                groups[slot] = phrase
-            else:
-                raise ValueError(f"{p}:{lineno}: unknown row kind {kind!r}")
+            raise ValueError(f"{p}:{lineno}: expected 3 tab-separated columns") from None
+        phrase = tuple(phrase_text.split())
+        if not phrase:
+            if not line.strip():
+                continue
+            raise ValueError(f"{p}:{lineno}: empty phrase")
+        if kind == "slot":
+            if not slot:
+                raise ValueError(f"{p}:{lineno}: slot row without a slot type")
+            slot_phrases[slot].append(phrase)
+        elif kind == "context":
+            context.append(phrase)
+        elif kind == "ambiguous":
+            ambiguous.append(phrase)
+        elif kind == "group":
+            if not slot:
+                raise ValueError(f"{p}:{lineno}: group row without a group name")
+            if slot in groups:
+                raise ValueError(f"{p}:{lineno}: group {slot!r} is defined twice")
+            groups[slot] = phrase
+        else:
+            raise ValueError(f"{p}:{lineno}: unknown row kind {kind!r}")
     gazetteer = Gazetteer(
         slot_phrases={s: frozenset(p) for s, p in slot_phrases.items()},
         context_phrases=frozenset(context),
@@ -265,4 +279,9 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
         gazetteer.token_table()
     except ValueError as exc:
         raise ValueError(f"{p}: {exc}") from None
+    if text == text.lower():  # every phrase is its own key: none is lowered
+        gazetteer.__dict__["match_table"] = _match_table(  # where cached_property keeps it
+            gazetteer.slot_phrases, gazetteer.context_phrases | gazetteer.ambiguous_phrases
+        )
+    gazetteer.match_table  # any other file: the lowering build, here all the same
     return gazetteer

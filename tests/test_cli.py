@@ -303,6 +303,12 @@ class TestInfer:
         assert main(infer_args(workspace, out, ["--ood-slots", "bogus"])) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_ood_slots_naming_no_slot_rejected(self, workspace, tmp_path, capsys, value):
+        out = tmp_path / "pred.jsonl"
+        assert main(infer_args(workspace, out, ["--ood-slots", value])) == 1
+        assert "--ood-slots names no slot type" in capsys.readouterr().err
+
     def test_foreign_placeholder_rejected(self, workspace, tmp_path, capsys):
         hacked = tmp_path / "gaz.tsv"
         hacked.write_text(
@@ -537,6 +543,13 @@ class TestConfigFiles:
         assert main(infer_args(workspace, out, ["--config", str(cfg)])) == 1
         assert "bad value for 'tau'" in capsys.readouterr().err
 
+    def test_empty_ood_slots_rejected(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "infer.cfg"
+        cfg.write_text("ood_slots =\n")
+        out = tmp_path / "pred.jsonl"
+        assert main(infer_args(workspace, out, ["--config", str(cfg)])) == 1
+        assert "--ood-slots names no slot type" in capsys.readouterr().err
+
     def test_comments_and_blanks_ignored(self, workspace, tmp_path):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("# a comment\n\nseed = 3\n")
@@ -599,6 +612,22 @@ def test_file_not_utf8_names_itself(workspace, tmp_path, capsys, kind, name):
     assert main([str(arg) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("kind", ["config", "gazetteer", "test"])
+def test_utf8_bom_skipped(workspace, tmp_path, kind):
+    """A gazetteer, a JSONL corpus or a config file that starts with a UTF-8
+    byte-order mark reads as the same file without it."""
+    config = tmp_path / "infer.cfg"
+    config.write_text("tau = 0.1\nood_slots = message\n", encoding="utf-8")
+    files = {**workspace, "config": config}
+    plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+    assert main(infer_args(files, plain, ["--config", str(files["config"])])) == 0
+    bom = tmp_path / f"bom-{files[kind].name}"
+    bom.write_text("\ufeff" + files[kind].read_text(encoding="utf-8"), encoding="utf-8")
+    files[kind] = bom
+    assert main(infer_args(files, marked, ["--config", str(files["config"])])) == 0
+    assert marked.read_bytes() == plain.read_bytes()
 
 
 class TestUsageErrors:

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_seed import PHRASES, SLOTS
+from test_seed import PHRASES, SLOTS, WORDS, lowered
 
+import oracle
 from iterdelex.corpus import Dataset, SlotLabel, Utterance
 from iterdelex.gazetteer import (
     Gazetteer,
@@ -14,6 +15,7 @@ from iterdelex.gazetteer import (
     load_gazetteer,
     save_gazetteer,
 )
+from iterdelex.seed import Span, find_matches
 
 
 def labels(*texts):
@@ -198,6 +200,21 @@ class TestGazetteerIO:
         assert ("john",) in loaded.slot_phrases["contact"]
         assert ("call",) in loaded.context_phrases
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_line_numbers_count_blank_lines(self, tmp_path, newline):
+        path = tmp_path / "gaz.tsv"
+        lines = [b"slot\tcontact\tjohn", b"\t\t", b" \x0c", b"", b"\t", b"broken line", b""]
+        path.write_bytes(newline.join(lines))
+        with pytest.raises(ValueError, match=r"gaz\.tsv:6: expected 3 tab-separated columns"):
+            load_gazetteer(path)
+
+    @pytest.mark.parametrize("phrase", ["jazz", "Jazz"])
+    def test_match_table_built_by_load(self, tmp_path, phrase):
+        path = tmp_path / "gaz.tsv"
+        path.write_text(f"slot\tsong\t{phrase}\ncontext\t\tplay\n")
+        loaded = load_gazetteer(path)
+        assert vars(loaded)["match_table"] == {("jazz",): "song"}
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
@@ -245,3 +262,65 @@ def test_random_corpora_ambiguity_and_round_trip(data):
     assert loaded == gaz
     assert loaded.token_table().surfaces == gaz.token_table().surfaces
     assert loaded.match_table == gaz.match_table
+
+
+BLANK_LINES = ("", " ", "\t", "\t\t", "\x0c")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hand_written_files_load_the_lazy_match_table(data):
+    """On hand-written files (rows of all four kinds in any order, a phrase
+    under several slot types, context and ambiguous rows that differ from
+    slot phrases only in case, runs of spaces, blank and whitespace lines),
+    the match table that ``load_gazetteer`` builds is the one a gazetteer of
+    the same fields builds on first use, and matching agrees with the oracle.
+    Both all-lowercase files and mixed-case files are drawn."""
+    lowercase = data.draw(st.booleans())
+    shared = data.draw(PHRASES)
+    slot_rows = [(slot, data.draw(PHRASES)) for slot in SLOTS]  # the group needs them all
+    slot_rows += [(slot, shared) for slot in data.draw(
+        st.lists(st.sampled_from(SLOTS), min_size=2, max_size=3, unique=True))]
+    slot_rows += data.draw(st.lists(st.tuples(st.sampled_from(SLOTS), PHRASES), max_size=8))
+    recased = st.sampled_from([phrase for _, phrase in slot_rows]).flatmap(
+        lambda phrase: st.tuples(*(st.sampled_from((w.lower(), w.upper(), w.title()))
+                                   for w in phrase)))
+    excluded = st.lists(PHRASES | recased, max_size=3)
+    context, ambiguous = data.draw(excluded), data.draw(excluded)
+    if lowercase:
+        slot_rows = [(slot, lowered(phrase)) for slot, phrase in slot_rows]
+        context, ambiguous = [lowered(p) for p in context], [lowered(p) for p in ambiguous]
+
+    def written(phrase):
+        gaps = data.draw(st.lists(st.sampled_from((" ", "  ", "   ")),
+                                  min_size=len(phrase) - 1, max_size=len(phrase) - 1))
+        return phrase[0] + "".join(gap + word for gap, word in zip(gaps, phrase[1:]))
+
+    lines = [f"slot\t{slot}\t{written(phrase)}" for slot, phrase in slot_rows]
+    lines += [f"context\t\t{written(phrase)}" for phrase in context]
+    lines += [f"ambiguous\t\t{written(phrase)}" for phrase in ambiguous]
+    if data.draw(st.booleans()):
+        lines.append(f"group\tmedia\t{written(('album', 'song'))}")
+    lines += data.draw(st.lists(st.sampled_from(BLANK_LINES), max_size=4))
+    text = "\n".join(data.draw(st.permutations(lines))) + data.draw(st.sampled_from(("", "\n")))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gaz.tsv"
+        path.write_text(text, encoding="utf-8")
+        loaded = load_gazetteer(path)
+
+    assert "match_table" in vars(loaded)  # built by the load, not by the first parse
+    assert loaded.slot_phrases == {
+        slot: frozenset(p for s, p in slot_rows if s == slot) for slot in SLOTS
+    }
+    fresh = Gazetteer(loaded.slot_phrases, loaded.context_phrases,
+                      loaded.ambiguous_phrases, loaded.shared_groups)
+    assert loaded.match_table == fresh.match_table
+
+    slots_of: dict = {}
+    for slot, phrase in slot_rows:
+        slots_of.setdefault(lowered(phrase), set()).add(slot)
+    excluded_keys = {lowered(p) for p in loaded.context_phrases | loaded.ambiguous_phrases}
+    table = {p: min(slots) for p, slots in slots_of.items() if p not in excluded_keys}
+    tokens = data.draw(st.lists(st.sampled_from(WORDS + ("for",)), min_size=1, max_size=8))
+    expected = oracle._match_phrases(lowered(tokens), table, max_len=3)
+    assert find_matches(tokens, loaded) == tuple(Span(*m) for m in expected)
