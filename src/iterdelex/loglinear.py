@@ -21,7 +21,15 @@ name the model never saw to a zero row. A parse looks each token up once,
 gathers five weight rows per position, adds them in template order and
 runs one softmax, which gives the same bits as summing the named rows.
 
-This deliberately stays small and dependency-free, and it exhibits the
+Each model is fitted by scipy's L-BFGS-B over a sparse design, one row per
+position (or utterance). The corpus and its delexicalized copies repeat the
+same rows many times, so the objective that :func:`_make_objective` builds
+once per fit scores each distinct row once and runs the softmax class-major,
+down the columns of a classes x distinct-rows buffer. It then gathers the
+probabilities back to every row, so its loss and gradient are those of one
+softmax per design row, bit for bit, and so are the fitted weights.
+
+The module needs numpy and scipy and nothing else, and it exhibits the
 property the rewrite engine relies on: tokens seen in context during
 training get confident (low-entropy) label distributions, while
 out-of-vocabulary tokens do not.
@@ -30,7 +38,9 @@ out-of-vocabulary tokens do not.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import AbstractSet, Sequence
 
@@ -103,10 +113,12 @@ class TrainingParams:
     special_tokens: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not self.l2 >= 0:  # rejects NaN too
-            raise ValueError("l2 must be non-negative")
-        if not self.min_count >= 1:
-            raise ValueError("min_count must be at least 1")
+        if not 0 <= self.l2 < math.inf:  # rejects NaN too
+            raise ValueError("l2 must be finite and non-negative")
+        for name in ("max_iter", "min_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
 
 
 def _softmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,28 +132,103 @@ def _softmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, total
 
 
-def _objective(flat: np.ndarray, x: sp.csr_matrix, y: np.ndarray, l2: float):
-    """Mean cross-entropy + l2*||W||^2 (bias row unregularized) of a softmax model
-    over design ``x`` and targets ``y`` at the flattened weights, and its gradient."""
+def _column_sums(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the sum of each column of ``a``, added in the order
+    of numpy's pairwise sum of a contiguous row, so that it equals
+    ``np.add.reduce(a.T, axis=1)`` bit for bit: fewer than 8 entries one by
+    one, up to 128 in eight running sums, more split in two at half the count
+    rounded down to a multiple of 8. ``scratch`` is 8 rows of ``out``'s width."""
+    k = len(a)
+    if k < 8:
+        out[...] = a[0]
+        for row in a[1:]:
+            out += row
+    elif k <= 128:
+        r = scratch
+        r[...] = a[:8]
+        for i in range(8, k - k % 8, 8):
+            r += a[i:i + 8]
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
+            r[i] += r[j]
+        np.add(r[0], r[4], out=out)
+        for row in a[k - k % 8:]:
+            out += row
+    else:
+        half = k // 2 - k // 2 % 8
+        _column_sums(a[:half], out, scratch)
+        out += _column_sums(a[half:], np.empty_like(out), scratch)
+    return out
+
+
+def _softmax_columns(scores: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_softmax_rows` of ``scores.T``, bit for bit, in place on the
+    classes x rows array ``scores``: overwrite each column with its softmax and
+    return the column maxima and sums. ``scratch`` is 8 rows of its width."""
+    top = np.maximum.reduce(scores, axis=0)
+    scores -= top
+    np.exp(scores, out=scores)
+    total = _column_sums(scores, np.empty_like(top), scratch)
+    scores /= total
+    return top, total
+
+
+def _distinct_rows(x: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The distinct rows of ``x``, each the first row of its kind, and the
+    distinct row of every row of ``x``. Rows are the same when their stored
+    indices and data are, in stored order, so a row of ``xu @ w`` has the bits
+    of its rows in ``x @ w``."""
+    ptr, size, dsize = x.indptr.tolist(), x.indices.itemsize, x.data.itemsize
+    indices, data = x.indices.tobytes(), x.data.tobytes()
+    seen: dict[tuple[bytes, bytes], int] = {}
+    first, inv = [], np.empty(x.shape[0], dtype=np.intp)
+    for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
+        key = (indices[a * size:b * size], data[a * dsize:b * dsize])
+        if key not in seen:
+            seen[key] = len(first)
+            first.append(i)
+        inv[i] = seen[key]
+    return x[np.array(first, dtype=np.intp)], inv
+
+
+def _make_objective(x: sp.csr_matrix, y: np.ndarray, n_classes: int, l2: float):
+    """The training loss of a softmax model over design ``x`` and targets ``y``:
+    a function of the flattened weights that returns the mean cross-entropy +
+    l2*||W||^2 (bias row unregularized) and its gradient.
+
+    It scores each distinct row of ``x`` once and runs the softmax class-major,
+    down the columns of a buffer allocated here, then gathers the distinct
+    rows back to every row of ``x``, so the nll's terms and the gradient's
+    rows are the row-by-row softmax's values, added in its order."""
     n, n_features = x.shape
-    w = flat.reshape(n_features, -1)
-    probs = x @ w
-    rows = np.arange(n)
-    target = probs[rows, y]
-    top, total = _softmax_rows(probs)  # the scores become probabilities
-    nll = (top[:, 0] + np.log(total[:, 0]) - target).mean()
-    probs[rows, y] -= 1.0  # now the nll's gradient in the scores, times n
+    xu, inv = _distinct_rows(x)
+    scores = np.empty((n_classes, xu.shape[0]))
+    scratch = np.empty((8, xu.shape[0]))
+    picked = inv * n_classes + y  # each row's target score in xu @ w, flat
+    hit = np.arange(n) * n_classes + y  # each row's target in the gradient rows, flat
     reg_mask = (np.arange(n_features) > 0)[:, None]  # feature 0, the bias, is exempt
-    grad = (x.T @ probs) / n + 2.0 * l2 * (reg_mask * w)
-    loss = nll + l2 * float((reg_mask * w * w).sum())
-    return loss, grad.ravel()
+    xt = x.T
+
+    def objective(flat: np.ndarray):
+        w = flat.reshape(n_features, n_classes)
+        distinct = xu @ w
+        target = distinct.ravel()[picked]
+        scores[...] = distinct.T
+        top, total = _softmax_columns(scores, scratch)  # the scores become probabilities
+        nll = ((top + np.log(total))[inv] - target).mean()
+        probs = np.ascontiguousarray(scores.T[inv])  # so that ravel() is a view
+        probs.ravel()[hit] -= 1.0  # now the nll's gradient in the scores, times n
+        grad = (xt @ probs) / n + 2.0 * l2 * (reg_mask * w)
+        loss = nll + l2 * float((reg_mask * w * w).sum())
+        return loss, grad.ravel()
+
+    return objective
 
 
 def _fit_softmax(
     x: sp.csr_matrix, y: np.ndarray, n_classes: int, l2: float, max_iter: int
 ) -> np.ndarray:
     result = minimize(
-        _objective, np.zeros(x.shape[1] * n_classes), args=(x, y, l2), jac=True,
+        _make_objective(x, y, n_classes, l2), np.zeros(x.shape[1] * n_classes), jac=True,
         method="L-BFGS-B", options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-8},
     )
     return result.x.reshape(x.shape[1], n_classes)

@@ -22,6 +22,11 @@ id tables; training must hand its fits the same arrays, bit for bit.
 computed with scipy's ``logsumexp``, a second ``exp`` and a dense one-hot
 target matrix; the backend's objective must match it to rounding.
 
+``reference_row_objective`` is the training objective in row layout, as
+training computed it before it went through the design's distinct rows and a
+class-major softmax: every row of the design scored and normalized on its
+own. The backend's objective must match it bit for bit.
+
 ``random_world`` draws the small scripted worlds the search is compared in:
 ``random_model`` a label inventory and scripted backend, ``random_utterance``
 a gazetteer, an utterance and engine settings for that model's slot types.
@@ -425,5 +430,27 @@ def reference_objective(flat, x, y, l2):
     nll = (log_z - scores[np.arange(n), y]).mean()
     probs = np.exp(scores - log_z[:, None])
     grad = (x.T @ (probs - onehot)) / n + 2.0 * l2 * (reg_mask * w)
+    loss = nll + l2 * float((reg_mask * w * w).sum())
+    return loss, grad.ravel()
+
+
+def reference_row_objective(flat, x, y, l2):
+    """Mean cross-entropy + l2*||W||^2 (bias row unregularized) of a softmax
+    model over the sparse design ``x`` and targets ``y`` at the flattened
+    weights ``flat``, and its gradient, with one softmax per row of ``x``."""
+    n, n_features = x.shape
+    w = flat.reshape(n_features, -1)
+    probs = x @ w
+    rows = np.arange(n)
+    target = probs[rows, y]
+    top = np.maximum.reduce(probs, axis=1, keepdims=True)
+    probs -= top
+    np.exp(probs, out=probs)
+    total = np.add.reduce(probs, axis=1, keepdims=True)
+    probs /= total
+    nll = (top[:, 0] + np.log(total[:, 0]) - target).mean()
+    probs[rows, y] -= 1.0
+    reg_mask = (np.arange(n_features) > 0)[:, None]
+    grad = (x.T @ probs) / n + 2.0 * l2 * (reg_mask * w)
     loss = nll + l2 * float((reg_mask * w * w).sum())
     return loss, grad.ravel()

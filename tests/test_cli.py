@@ -357,6 +357,12 @@ class TestInfer:
         pytest.param("params", lambda p: p.update(params=[]), id="params-list"),
         pytest.param("params", lambda p: p["params"].update(l2="0.1"), id="params-l2-string"),
         pytest.param("params", lambda p: p["params"].update(l2=float("nan")), id="params-l2-nan"),
+        pytest.param("params", lambda p: p["params"].update(l2=float("inf")), id="params-l2-inf"),
+        *[pytest.param("params", lambda p, v=v: p["params"].update(max_iter=v),
+                       id=f"params-max_iter-{v}")
+          for v in (-3, 0, 2.5, float("inf"))],  # 1e400 in a file reads as inf
+        pytest.param("params", lambda p: p["params"].update(min_count=1.5),
+                     id="params-min_count-1.5"),
         pytest.param("labels", lambda p: p["labels"].__setitem__(1, "Q-x"), id="labels-invalid"),
     ])
     def test_model_missing_entry_rejected(self, workspace, tmp_path, capsys, key, edit):

@@ -1,3 +1,4 @@
+import gc
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from test_seed import PHRASES, SLOTS, WORDS, lowered
 
 import oracle
+from iterdelex import gazetteer as gazetteer_module
 from iterdelex.corpus import Dataset, SlotLabel, Utterance
 from iterdelex.gazetteer import (
     Gazetteer,
@@ -207,6 +209,36 @@ class TestGazetteerIO:
         path.write_bytes(newline.join(lines))
         with pytest.raises(ValueError, match=r"gaz\.tsv:6: expected 3 tab-separated columns"):
             load_gazetteer(path)
+
+    @pytest.mark.parametrize(
+        "enabled,row", [(True, "slot\tcontact\tjohn"), (False, "slot\tcontact\tjohn"),
+                        (True, "broken line")],
+    )
+    def test_load_pauses_gc_and_restores_it(self, tmp_path, monkeypatch, enabled, row):
+        """The collector is off while the file is read and back in its earlier
+        state afterwards, also when the file is malformed."""
+        path = tmp_path / "gaz.tsv"
+        path.write_text(row + "\n")
+        seen = []
+
+        def open_text(p):
+            seen.append(gc.isenabled())
+            return real_open_text(p)
+
+        real_open_text = gazetteer_module.open_text
+        monkeypatch.setattr(gazetteer_module, "open_text", open_text)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if row == "broken line":
+                with pytest.raises(ValueError, match="3 tab-separated"):
+                    load_gazetteer(path)
+            else:
+                assert ("john",) in load_gazetteer(path).slot_phrases["contact"]
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False]
 
     @pytest.mark.parametrize("phrase", ["jazz", "Jazz"])
     def test_match_table_built_by_load(self, tmp_path, phrase):

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 import oracle
 from iterdelex import loglinear
 from iterdelex.corpus import Dataset, SlotLabel, Utterance, repair_bio
-from iterdelex.loglinear import LogLinearBackend, TrainingParams, _objective
+from iterdelex.loglinear import (
+    LogLinearBackend,
+    TrainingParams,
+    _distinct_rows,
+    _fit_softmax,
+    _make_objective,
+    _softmax_columns,
+    _softmax_rows,
+)
 
 
 def labels(*texts):
@@ -82,6 +90,19 @@ class TestTraining:
         for nan in ({"l2": math.nan}, {"min_count": math.nan}):
             with pytest.raises(ValueError):
                 TrainingParams(**nan)
+        for bad in (
+            {"l2": math.inf}, {"max_iter": 0}, {"max_iter": -3}, {"max_iter": 2.5},
+            {"max_iter": 300.0}, {"max_iter": math.inf}, {"max_iter": True},
+            {"min_count": 1.5}, {"min_count": 2.0},
+        ):
+            with pytest.raises(ValueError):
+                TrainingParams(**bad)
+        TrainingParams(l2=0, max_iter=np.int64(5), min_count=1)
+
+    @pytest.mark.parametrize("max_iter", [0, 2.5])
+    def test_train_rejects_invalid_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+            LogLinearBackend.train(toy_corpus(), TrainingParams(max_iter=max_iter))
 
     def test_bias_feature_present(self, backend):
         assert backend.slot_features[0] == "bias"
@@ -137,11 +158,65 @@ def objective_cases(draw):
     return w.ravel(), sp.csr_matrix(dense.astype(float)), y, l2
 
 
+def objective(flat, x, y, l2):
+    """The training objective of design ``x`` at the flattened weights ``flat``."""
+    return _make_objective(x, y, flat.size // x.shape[1], l2)(flat)
+
+
+@st.composite
+def repeated_row_cases(draw):
+    """Like :func:`objective_cases`, over a design that repeats a few rows,
+    each copy with its own target and some stored in another column order, so
+    that a design has equal features with different targets and rows with the
+    same entries in different stored orders (unsorted indices)."""
+    n_features, k = draw(st.integers(2, 12)), draw(st.integers(2, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = rng.integers(0, n_features)
+        cols = rng.choice(np.arange(1, n_features), size=size, replace=False)
+        base.append((np.concatenate([[0], cols]), rng.integers(1, 4, size=len(cols) + 1)))
+    indices, data, indptr = [], [], [0]
+    for pick in rng.integers(0, len(base), size=draw(st.integers(1, 40))):
+        cols, vals = base[pick]
+        order = rng.permutation(len(cols)) if rng.random() < 0.3 else np.arange(len(cols))
+        indices.extend(cols[order])
+        data.extend(vals[order])
+        indptr.append(len(indices))
+    n = len(indptr) - 1
+    x = sp.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), np.array(indptr)),
+        shape=(n, n_features),
+    )
+    w = rng.normal(scale=draw(st.sampled_from([0.03, 1.0, 31.0])), size=(n_features, k))
+    return w.ravel(), x, rng.integers(0, k, size=n), draw(st.sampled_from([0.0, 1e-5, 0.1]))
+
+
+@st.composite
+def score_matrices(draw):
+    """Rows x classes scores for 1 to 300 classes, so every branch of the
+    pairwise column sum runs: ties, scores near +700 or -700, and spreads
+    whose exponentials underflow to subnormals or to zero."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ties", "offset", "underflow", "wide"]))
+    if kind == "ties":
+        scores = rng.integers(-2, 3, size=(m, k)).astype(float)
+    elif kind == "offset":
+        scores = rng.normal(size=(m, k)) + rng.choice([-700.0, 700.0], size=(m, 1))
+    elif kind == "underflow":
+        scores = -rng.uniform(700.0, 760.0, size=(m, k))
+        scores[:, 0] = 0.0
+    else:
+        scores = rng.normal(scale=30.0, size=(m, k))
+    return scores
+
+
 class TestObjective:
     @settings(max_examples=300, deadline=None)
     @given(objective_cases())
     def test_matches_logsumexp_reference(self, case):
-        loss, grad = _objective(*case)
+        loss, grad = objective(*case)
         want_loss, want_grad = oracle.reference_objective(*case)
         assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
         assert np.abs(grad - want_grad).max() <= 1e-12 * max(1.0, np.abs(want_grad).max())
@@ -150,12 +225,80 @@ class TestObjective:
     @given(objective_cases(), st.integers(0, 2**32 - 1))
     def test_gradient_matches_finite_differences(self, case, seed):
         flat, *rest = case
-        loss, grad = _objective(flat, *rest)
+        loss, grad = objective(flat, *rest)
         step = np.random.default_rng(seed).normal(size=flat.shape)
         step *= 1e-5 / np.linalg.norm(step)
-        ahead, _ = _objective(flat + step, *rest)
-        behind, _ = _objective(flat - step, *rest)
+        ahead, _ = objective(flat + step, *rest)
+        behind, _ = objective(flat - step, *rest)
         assert abs((ahead - behind) / 2 - grad @ step) <= 1e-11 * max(1.0, abs(loss))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(objective_cases(), repeated_row_cases()))
+    def test_equals_row_layout_reference_bitwise(self, case):
+        flat, x, y, l2 = case
+        f = _make_objective(x, y, flat.size // x.shape[1], l2)
+        want_loss, want_grad = oracle.reference_row_objective(flat, x, y, l2)
+        for _ in range(2):  # the buffers it reuses carry nothing over
+            loss, grad = f(flat)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(score_matrices())
+    def test_column_softmax_equals_row_softmax_bitwise(self, scores):
+        rows, columns = scores.copy(), np.ascontiguousarray(scores.T)
+        top, total = _softmax_rows(rows)
+        col_top, col_total = _softmax_columns(columns, np.empty((8, len(scores))))
+        assert columns.T.tobytes() == np.ascontiguousarray(rows).tobytes()
+        assert col_top.tobytes() == top[:, 0].tobytes()
+        assert col_total.tobytes() == total[:, 0].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(objective_cases(), repeated_row_cases()))
+    def test_distinct_rows_reproduce_the_design(self, case):
+        x = case[1]
+        xu, inv = _distinct_rows(x)
+        back = xu[inv]
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(back, attr).tobytes() == getattr(x, attr).astype(
+                getattr(back, attr).dtype
+            ).tobytes()
+        rows = (xu[i] for i in range(xu.shape[0]))
+        keys = {(row.indices.tobytes(), row.data.tobytes()) for row in rows}
+        assert len(keys) == xu.shape[0]  # no two distinct rows are the same
+
+    def test_fit_equals_reference_fit_bitwise(self, monkeypatch):
+        """A fit gives the weights that the row-layout objective gives, bit for
+        bit, on the fixture corpus's slot and intent designs."""
+        designs, calls = [], []
+        real_minimize = loglinear.minimize
+
+        def capture(x, y, n_classes, l2, max_iter):
+            designs.append((x, y, n_classes))
+            return np.zeros((x.shape[1], n_classes))
+
+        def record(fun, x0, **kwargs):
+            calls.append(kwargs)
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(loglinear, "_fit_softmax", capture)
+        LogLinearBackend.train(toy_corpus(), PARAMS)
+        monkeypatch.setattr(loglinear, "minimize", record)
+
+        @settings(max_examples=10, deadline=None)
+        @given(st.sampled_from([0.0, 1e-5, 1e-2]), st.integers(1, 300))
+        def check(l2, max_iter):
+            for x, y, k in designs:
+                calls.clear()
+                got = _fit_softmax(x, y, k, l2, max_iter)
+                (kwargs,) = calls
+                want = real_minimize(
+                    lambda flat: oracle.reference_row_objective(flat, x, y, l2),
+                    np.zeros(x.shape[1] * k), **kwargs,
+                ).x.reshape(x.shape[1], k)
+                assert got.tobytes() == want.tobytes()
+
+        check()
 
 
 class TestUncertaintySignal:
