@@ -90,6 +90,11 @@ class Backend(ABC):
     def parse(self, tokens: Sequence[str]) -> ParseResult:
         """Parse a non-empty token sequence. Never fails on unknown tokens."""
 
+    def parse_many(self, sequences: Sequence[Sequence[str]]) -> list[ParseResult]:
+        """Parse each sequence, in order. An override may share work across
+        the batch, but its results must equal ``parse``'s bit for bit."""
+        return [self.parse(tokens) for tokens in sequences]
+
 
 class CachingBackend(Backend):
     """A backend that keeps the last ``maxsize`` parses of another, keyed by

@@ -187,9 +187,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     with Path(args.output).open("w", encoding="utf-8") as out, (
         Path(str(trace_path)).open("w", encoding="utf-8") if trace_path else nullcontext()
     ) as trace:
+        if baseline:  # the raw utterances, tagged as one batch
+            parses = backend.parse_many([utt.tokens for utt in data])
         for n, utt in enumerate(data):
             if baseline:
-                parse = backend.parse(utt.tokens)
+                parse = parses[n]
                 labels, _ = repair_bio(parse.predicted_labels)
                 row = {
                     "tokens": list(utt.tokens),

@@ -71,10 +71,14 @@ class SlotLabel:
 
     @classmethod
     def parse(cls, text: str) -> SlotLabel:
-        """Parse ``"O"`` / ``"B-x"`` / ``"I-x"``."""
+        """Parse ``"O"`` / ``"B-x"`` / ``"I-x"``. A slot type that holds
+        whitespace would make a placeholder token that does, so it is a
+        ``ValueError``."""
         if text == OUTSIDE:
             return cls(OUTSIDE)
         if len(text) > 2 and text[0] in (BEGIN, INSIDE) and text[1] == "-":
+            if text.split() != [text]:
+                raise ValueError(f"slot type {text[2:]!r} contains whitespace")
             return cls(text[0], text[2:])
         raise ValueError(f"invalid BIO label: {text!r}")
 
@@ -192,6 +196,18 @@ class _LoaderState:
     lowercase: bool
     repairs: int = 0
     utterances: list[Utterance] = field(default_factory=list)
+    labels: dict[str, SlotLabel] = field(default_factory=dict)  # by their text
+
+    def label(self, text: str, path: Path, lineno: int) -> SlotLabel:
+        """The label ``text`` on line ``lineno`` of ``path`` names; each
+        distinct text is parsed once per load."""
+        label = self.labels.get(text)
+        if label is None:
+            try:
+                label = self.labels[text] = SlotLabel.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        return label
 
     def add(
         self,
@@ -238,10 +254,7 @@ def _load_conll(path: Path, state: _LoaderState) -> None:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'token<TAB>label', got {line!r}"
                 )
-            try:
-                label = SlotLabel.parse(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            label = state.label(parts[1], path, lineno)
             if not tokens:
                 start = lineno
             tokens.append(parts[0])
@@ -281,10 +294,7 @@ def _load_jsonl(path: Path, state: _LoaderState) -> None:
                         f"{path}:{lineno}: record {lineno} has {len(tokens)} tokens "
                         f"but {len(raw_labels)} labels"
                     )
-                try:
-                    labels = [SlotLabel.parse(s) for s in raw_labels]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                labels = [state.label(s, path, lineno) for s in raw_labels]
             intent = record.get("intent")
             if intent is not None and not isinstance(intent, str):
                 raise ValueError(f"{path}:{lineno}: 'intent' is not a string")

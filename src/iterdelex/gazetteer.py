@@ -75,14 +75,18 @@ def build_token_table(
     member that is none of ``slot_types`` (it has no slot phrases), a slot
     listed twice in one group, a slot in two groups, and a group surface
     that is also a grouped-out slot's own are each a ``ValueError`` naming
-    the group. When ``vocabulary`` is given, any collision between a surface
-    and a natural token is rejected too.
+    the group. A slot type or group name that is empty or holds whitespace
+    would make a surface that is no single token, so it is rejected too, as
+    is, when ``vocabulary`` is given, any collision between a surface and a
+    natural token.
     """
     slots = set(slot_types)
     slot_to_group: dict[str, str] = {}
     for gname, members in (shared_groups or {}).items():
         if not gname:
             raise ValueError("shared group name is empty")
+        if gname.split() != [gname]:
+            raise ValueError(f"shared group name {gname!r} contains whitespace")
         for s in members:
             if s not in slots:
                 raise ValueError(f"group {gname!r}: no slot phrases for {s!r}")
@@ -99,6 +103,8 @@ def build_token_table(
     for slot in sorted(slots):
         if not slot:
             raise ValueError("slot type is empty")
+        if slot.split() != [slot]:
+            raise ValueError(f"slot type {slot!r} contains whitespace")
         group = slot_to_group.get(slot)
         surface = f"<{group or slot}>"
         if group_of_surface.setdefault(surface, group) != group:

@@ -20,6 +20,8 @@ backend maps each id's names to weight rows once, when it is built, and a
 name the model never saw to a zero row. A parse looks each token up once,
 gathers five weight rows per position, adds them in template order and
 runs one softmax, which gives the same bits as summing the named rows.
+:meth:`LogLinearBackend.parse_many` does this once for a whole batch, with
+one boundary id between sequences, and gives each the bits of its ``parse``.
 
 Each model is fitted by scipy's L-BFGS-B over a sparse design, one row per
 position (or utterance). The corpus and its delexicalized copies repeat the
@@ -42,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,6 +98,23 @@ def _window(ids: np.ndarray) -> tuple[np.ndarray, ...]:
     its left neighbour's and next its right neighbour's."""
     own = ids[1:-1]
     return own, own, ids[:-2], ids[2:], own
+
+
+def _batch_window(
+    sequences: Iterable[Sequence[str]], token_ids: Mapping[str, int]
+) -> tuple[np.ndarray, ...]:
+    """:func:`_window` over the sequences laid end to end with one boundary
+    id before, between and after them, less the inner boundaries' own
+    positions: one position per token of every sequence, in order. Ids are
+    those of :func:`_id_features`."""
+    other, boundary = len(token_ids), len(token_ids) + 1
+    ids = [boundary]
+    for tokens in sequences:
+        ids.extend(token_ids.get(tok, other) for tok in tokens)
+        ids.append(boundary)
+    window = _window(np.array(ids))
+    kept = window[0] != boundary  # an inner boundary is no position
+    return tuple(sel[kept] for sel in window)
 
 
 def _columns(features: Sequence[str], names: Sequence[Sequence[str | None]]) -> np.ndarray:
@@ -336,14 +355,7 @@ class LogLinearBackend(Backend):
         vocab_set, specials = frozenset(vocab), frozenset(params.special_tokens)
 
         token_ids, templates, bags = _id_features(vocab_set, specials)
-        other, boundary = len(token_ids), len(token_ids) + 1
-        ids = [boundary]  # the corpus as one sequence: [b, u1..., b, u2..., b]
-        for utt in corpus:
-            ids.extend(token_ids.get(tok, other) for tok in utt.tokens)
-            ids.append(boundary)
-        window = _window(np.array(ids))
-        kept = window[0] != boundary  # an inner boundary is no position
-        window = tuple(sel[kept] for sel in window)
+        window = _batch_window((utt.tokens for utt in corpus), token_ids)
 
         feature_names = {templates[k][i] for k, sel in enumerate(window) for i in np.unique(sel)}
         # inference-time sentinels must exist even if unseen during training
@@ -399,6 +411,20 @@ class LogLinearBackend(Backend):
 
     # -- inference -----------------------------------------------------------
 
+    def _slot_scores(self, window: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The slot scores of the positions ``window`` (a :func:`_window`)
+        reads: each position's five template rows, added in template order,
+        as in training."""
+        _, cur, prev, nxt, special = window
+        w = self._slot_rows
+        return (
+            w[self._bias_row]
+            + w[self._cur_rows[cur]]
+            + w[self._prev_rows[prev]]
+            + w[self._next_rows[nxt]]
+            + w[self._special_rows[special]]
+        )
+
     def parse(self, tokens: Sequence[str]) -> ParseResult:
         if not tokens:
             raise ValueError("cannot parse an empty token sequence")
@@ -406,26 +432,47 @@ class LogLinearBackend(Backend):
         ids = np.array(
             [self._boundary_id, *[token_ids.get(tok, other) for tok in tokens], self._boundary_id]
         )
-        _, cur, prev, nxt, special = _window(ids)
-        w = self._slot_rows
-        # the order of the additions is the template order, as in training
-        dists = (
-            w[self._bias_row]
-            + w[self._cur_rows[cur]]
-            + w[self._prev_rows[prev]]
-            + w[self._next_rows[nxt]]
-            + w[self._special_rows[special]]
-        )
+        window = _window(ids)
+        dists = self._slot_scores(window)
         _softmax_rows(dists)  # the scores become probabilities
 
         n_bag = len(self.intent_features)
-        bag = np.bincount(self._bag_columns[cur], minlength=n_bag + 1)[:n_bag].astype(float)
+        bag = np.bincount(self._bag_columns[window[1]], minlength=n_bag + 1)[:n_bag].astype(float)
         bag[0] += 1.0
         intent_dist = bag @ self.intent_weights
         _softmax_rows(intent_dist[None, :])
         return ParseResult.from_distributions(
             self.label_set, self.intent_set, dists, intent_dist
         )
+
+    def parse_many(self, sequences: Sequence[Sequence[str]]) -> list[ParseResult]:
+        """Parse the sequences as one batch, laid out as training lays out the
+        corpus; each result has the bits ``parse`` gives the sequence alone."""
+        if not sequences:
+            return []
+        if not all(sequences):
+            raise ValueError("cannot parse an empty token sequence")
+        window = _batch_window(sequences, self._token_ids)
+        dists = self._slot_scores(window)
+        _softmax_rows(dists)
+
+        lengths = [len(tokens) for tokens in sequences]
+        n_seq, n_bag = len(lengths), len(self.intent_features)
+        owner = np.repeat(np.arange(n_seq), lengths)  # the sequence of each position
+        bags = np.bincount(
+            owner * (n_bag + 1) + self._bag_columns[window[1]], minlength=n_seq * (n_bag + 1)
+        ).reshape(n_seq, n_bag + 1)[:, :n_bag].astype(float)
+        bags[:, 0] += 1.0
+        # one product per sequence: one over all of them changes the last bit of some
+        intent_dists = np.array([bag @ self.intent_weights for bag in bags])
+        _softmax_rows(intent_dists)
+        ends = np.cumsum(lengths).tolist()
+        return [
+            ParseResult.from_distributions(
+                self.label_set, self.intent_set, dists[end - n:end], intent_dist
+            )
+            for n, end, intent_dist in zip(lengths, ends, intent_dists)
+        ]
 
     # -- serialization --------------------------------------------------------
 

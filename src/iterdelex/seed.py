@@ -70,11 +70,6 @@ class Candidate:
         return len(self.tokens)
 
     @property
-    def source_length(self) -> int:
-        """Length of the original utterance this candidate rewrites."""
-        return self.alignment[-1].end
-
-    @property
     def natural_count(self) -> int:
         """How many tokens are original (non-placeholder) material."""
         return sum(1 for e in self.alignment if not e.slot_type)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_loglinear import assert_same_parse
 
 from iterdelex.backend import (
     CachingBackend,
@@ -171,6 +172,17 @@ class TestScriptedBackend:
         np.testing.assert_array_equal(
             backend.parse(["hello"]).intent_distribution, [0.0, 1.0]
         )
+
+    def test_parse_many_loops_over_parse(self):
+        """The base class's ``parse_many`` is one ``parse`` per sequence, in
+        order; an empty sequence fails as ``parse`` does."""
+        backend = self.make(intent_rule=lambda toks: "call" if "call" in toks else "other")
+        batch = [["call", "mom"], ["zzz"], ["mom", "call", "now"], ["zzz"]]
+        for got, tokens in zip(backend.parse_many(batch), batch, strict=True):
+            assert_same_parse(got, backend.parse(tokens))
+        assert backend.parse_many([]) == []
+        with pytest.raises(ValueError, match="empty"):
+            backend.parse_many([["call"], []])
 
     def test_deterministic(self):
         backend = self.make()

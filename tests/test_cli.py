@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_loglinear import assert_same_parse
 
 from iterdelex import cli
 from iterdelex.cli import _CONFIG_KEYS, build_parser, main
-from iterdelex.corpus import SlotLabel, load_dataset
+from iterdelex.corpus import SlotLabel, load_dataset, repair_bio
 from iterdelex.engine import EngineConfig, iterative_parse
 from iterdelex.gazetteer import load_gazetteer
 from iterdelex.loglinear import LogLinearBackend
@@ -166,6 +167,28 @@ class TestTrain:
         assert err.startswith("error:") and f"{data}:1: token ''" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".conll"])
+    def test_slot_type_with_whitespace_rejected(self, tmp_path, capsys, suffix):
+        """``B-my contact`` would give the placeholder ``<my contact>``, two
+        tokens once re-split: exit 1, naming the file and line."""
+        data = tmp_path / f"bad{suffix}"
+        if suffix == ".jsonl":
+            data.write_text("".join(
+                json.dumps({"tokens": ["call", name], "labels": ["O", label],
+                            "intent": "call"}) + "\n"
+                for name, label in (("bob", "B-contact"), ("ann", "B-my contact"))
+            ))
+            line = 2
+        else:
+            data.write_text("#intent=call\ncall\tO\nbob\tB-contact\n\n"
+                            "#intent=call\ncall\tO\nann\tB-my contact\n")
+            line = 7
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}:{line}: slot type 'my contact' contains whitespace\n"
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_placeholder_surface_in_corpus_rejected(self, tmp_path, capsys):
         data = tmp_path / "bad.jsonl"
         data.write_text("".join(
@@ -274,6 +297,28 @@ class TestInfer:
         assert printed == (f"parsed 60 utterances (rewrite engine, {calls} tagger calls, "
                            f"{hits} cache hits) -> {out}\n")
 
+    def test_baseline_equals_per_utterance_parse(self, workspace, tmp_path):
+        """``--baseline`` tags its input as one batch, and its file has the
+        bytes of rows built from one ``parse`` per utterance."""
+        out = tmp_path / "base.jsonl"
+        assert main(infer_args(workspace, out, ["--baseline"])) == 0
+        model = LogLinearBackend.load(workspace["model"])
+        data = load_dataset(workspace["test"])
+        rows = []
+        for utt, batched in zip(data, model.parse_many([utt.tokens for utt in data])):
+            parse = model.parse(utt.tokens)
+            assert_same_parse(batched, parse)
+            labels, _ = repair_bio(parse.predicted_labels)
+            rows.append(json.dumps({
+                "tokens": list(utt.tokens),
+                "intent": parse.predicted_intent,
+                "labels": [str(lab) for lab in labels],
+                "delexicalized": list(utt.tokens),
+                "iterations": 0,
+                "candidates": 1,
+            }) + "\n")
+        assert out.read_text() == "".join(rows)
+
     def test_baseline_summary_unchanged(self, workspace, tmp_path, capsys):
         out = tmp_path / "base.jsonl"
         assert main(infer_args(workspace, out, ["--baseline"])) == 0
@@ -364,6 +409,8 @@ class TestInfer:
         pytest.param("params", lambda p: p["params"].update(min_count=1.5),
                      id="params-min_count-1.5"),
         pytest.param("labels", lambda p: p["labels"].__setitem__(1, "Q-x"), id="labels-invalid"),
+        pytest.param("labels", lambda p: p["labels"].__setitem__(1, "B-my x"),
+                     id="labels-whitespace"),
     ])
     def test_model_missing_entry_rejected(self, workspace, tmp_path, capsys, key, edit):
         """A missing or malformed model entry exits 1 with an error line
@@ -463,6 +510,36 @@ class TestInfer:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(paths[flag]) in err
+
+    def test_unwritable_baseline_output_fails_before_parsing(self, workspace, tmp_path,
+                                                             capsys, monkeypatch):
+        def parse_many(*args):
+            raise AssertionError("parsed before the output file was opened")
+
+        monkeypatch.setattr(LogLinearBackend, "parse_many", parse_many)
+        out = tmp_path / "missing" / "base.jsonl"
+        assert main(infer_args(workspace, out, ["--baseline"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+
+    @pytest.mark.parametrize("row,name", [
+        pytest.param("slot\tmy contact\tbob\n", "slot type 'my contact'", id="slot-type"),
+        pytest.param("group\tmy g\tsong\n", "shared group name 'my g'", id="group-name"),
+    ])
+    def test_gazetteer_name_with_whitespace_rejected(self, workspace, tmp_path, capsys,
+                                                    row, name):
+        """A slot type or group name that holds whitespace would give a
+        placeholder that is no single token: exit 1, naming the file."""
+        gazetteer = tmp_path / "gaz.tsv"
+        gazetteer.write_text(workspace["gazetteer"].read_text() + row)
+        code = main([
+            "infer", "--model", str(workspace["model"]),
+            "--gazetteer", str(gazetteer),
+            "--input", str(workspace["test"]),
+            "--output", str(tmp_path / "pred.jsonl"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {gazetteer}: {name} contains whitespace\n"
 
     def test_missing_model_is_io_error(self, workspace, tmp_path):
         code = main([

@@ -41,6 +41,12 @@ class TestSlotLabel:
         with pytest.raises(ValueError):
             SlotLabel.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["B-my contact", "I-a\tb", "B- x", "B-x ", "I-x\u00a0y"])
+    def test_parse_rejects_whitespace_in_slot_type(self, bad):
+        with pytest.raises(ValueError, match=rf"slot type {re.escape(repr(bad[2:]))} "
+                                             "contains whitespace"):
+            SlotLabel.parse(bad)
+
     def test_kind_slot_consistency_enforced(self):
         with pytest.raises(ValueError):
             SlotLabel("O", "contact")
@@ -221,6 +227,38 @@ class TestIO:
             match=rf"bad\.conll:4: token {re.escape(repr(token))} is empty or contains whitespace",
         ):
             load_dataset(path)
+
+    @pytest.mark.parametrize("label,message", [
+        ("Q-x", "invalid BIO label: 'Q-x'"),
+        ("B-my contact", "slot type 'my contact' contains whitespace"),
+    ])
+    def test_jsonl_invalid_label_names_file_and_line(self, tmp_path, label, message):
+        path = tmp_path / "bad.jsonl"
+        record = {"tokens": ["call", "bob"], "labels": ["O", label]}
+        path.write_text('{"tokens": ["ok"], "labels": ["O"]}\n' + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.jsonl:2: {re.escape(message)}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("label,message", [
+        ("B_x", "invalid BIO label: 'B_x'"),
+        ("B-my contact", "slot type 'my contact' contains whitespace"),
+        ("B-contact ", "slot type 'contact ' contains whitespace"),
+    ])
+    def test_conll_invalid_label_names_file_and_line(self, tmp_path, label, message):
+        path = tmp_path / "bad.conll"
+        path.write_text(f"ok\tO\n\n#intent=call\ncall\tO\nbob\t{label}\n")
+        with pytest.raises(ValueError, match=rf"bad\.conll:5: {re.escape(message)}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".conll"])
+    def test_equal_labels_share_one_object_per_load(self, tmp_path, suffix):
+        path = tmp_path / f"data{suffix}"
+        save_dataset(SAMPLE, path)
+        first, again = load_dataset(path), load_dataset(path)
+        outside = [lab for utt in first for lab in utt.gold_labels or () if lab.is_outside]
+        assert len(outside) > 1 and all(lab is outside[0] for lab in outside)
+        assert first.utterances[0].gold_labels == again.utterances[0].gold_labels
+        assert first.utterances[0].gold_labels[0] is not again.utterances[0].gold_labels[0]
 
     def test_jsonl_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"

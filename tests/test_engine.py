@@ -308,7 +308,7 @@ def tiled_candidates(draw):
 def test_projection_is_valid_bio_over_the_source(case):
     cand, predicted = case
     out, repairs = project_labels(cand, fake_parse(predicted, PROJECTION_LABELS))
-    assert len(out) == cand.source_length
+    assert len(out) == cand.alignment[-1].end
     assert is_valid_bio(out)
     cursor, repaired = 0, 0
     for pos, entry in enumerate(cand.alignment):

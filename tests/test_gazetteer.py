@@ -1,4 +1,5 @@
 import gc
+import re
 import tempfile
 from pathlib import Path
 
@@ -55,6 +56,16 @@ class TestTokenTable:
     def test_slot_in_two_groups_rejected(self):
         with pytest.raises(ValueError, match="two shared groups"):
             build_token_table(["a", "b"], {"g1": ["a"], "g2": ["a", "b"]})
+
+    @pytest.mark.parametrize("slots,groups,message", [
+        (["my contact"], None, "slot type 'my contact' contains whitespace"),
+        (["contact", "x\ty"], None, "slot type 'x\\ty' contains whitespace"),
+        (["song", "date"], {"my g": ["song", "date"]},
+         "shared group name 'my g' contains whitespace"),
+    ])
+    def test_name_with_whitespace_rejected(self, slots, groups, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_token_table(slots, groups)
 
     def test_vocabulary_collision_rejected(self):
         with pytest.raises(ValueError, match="collides"):
@@ -181,6 +192,8 @@ class TestGazetteerIO:
             ("slot\t\tjohn", "without a slot type"),
             ("group\t\tsong date", "without a group name"),
             ("mystery\t\tjohn", "unknown row kind"),
+            ("slot\tmy contact\tbob", "slot type 'my contact' contains whitespace"),
+            ("slot\tsong\tjazz\ngroup\tmy g\tsong", "group name 'my g' contains whitespace"),
         ],
     )
     def test_malformed_rows_rejected(self, tmp_path, row, message):

@@ -342,21 +342,53 @@ def sparse_backend():
     return backend
 
 
+def assert_same_parse(got, want):
+    """Two parses are equal bit for bit."""
+    assert got.distributions.tobytes() == want.distributions.tobytes()
+    assert got.token_entropies.tobytes() == want.token_entropies.tobytes()
+    assert got.intent_distribution.tobytes() == want.intent_distribution.tobytes()
+    assert got.predicted_labels == want.predicted_labels
+    assert got.predicted_intent == want.predicted_intent
+
+
 def test_parse_equals_named_feature_reference_bitwise(sparse_backend):
     words = sorted({tok for u in toy_corpus() for tok in u.tokens}) + list(UNSEEN)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(words), min_size=1, max_size=20))
     def check(tokens):
-        got = sparse_backend.parse(tokens)
         want = oracle.reference_parse(sparse_backend, tokens)
-        assert got.distributions.tobytes() == want.distributions.tobytes()
-        assert got.token_entropies.tobytes() == want.token_entropies.tobytes()
-        assert got.predicted_labels == want.predicted_labels
-        assert got.intent_distribution.tobytes() == want.intent_distribution.tobytes()
-        assert got.predicted_intent == want.predicted_intent
+        assert_same_parse(sparse_backend.parse(tokens), want)
 
     check()
+
+
+@pytest.mark.parametrize("fixture", ["backend", "sparse_backend"])
+def test_parse_many_equals_parse_bitwise(request, fixture):
+    """A batch of vocabulary words, placeholders (in and out of the model's
+    vocabulary) and unseen tokens parses to the bits of one ``parse`` per
+    sequence."""
+    model = request.getfixturevalue(fixture)
+    words = sorted({tok for u in toy_corpus() for tok in u.tokens}) + list(UNSEEN)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=12), max_size=20))
+    def check(batch):
+        got = model.parse_many(batch)
+        assert len(got) == len(batch)
+        for result, tokens in zip(got, batch):
+            assert_same_parse(result, model.parse(tokens))
+
+    check()
+
+
+def test_parse_many_rejects_an_empty_sequence(backend):
+    with pytest.raises(ValueError) as parse_error:
+        backend.parse(())
+    for batch in ([()], [("call", "bob"), [], ("play",)]):
+        with pytest.raises(ValueError) as batch_error:
+            backend.parse_many(batch)
+        assert str(batch_error.value) == str(parse_error.value)
 
 
 def test_training_design_equals_named_feature_reference(monkeypatch):

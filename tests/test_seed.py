@@ -44,7 +44,7 @@ class TestCandidate:
         assert cand.tokens == ("call", "mom")
         assert cand.alignment == (Span(0, 1, ""), Span(1, 2, ""))
         assert cand.natural_count == 2
-        assert cand.source_length == 2
+        assert cand.alignment[-1].end == 2
         assert cand.provenance == "original"
 
     def test_alignment_must_tile(self):
@@ -67,7 +67,7 @@ class TestCandidate:
             "seed",
         )
         assert tuple((e.start, e.end) for e in cand.alignment) == ((0, 1), (1, 3), (3, 4))
-        assert cand.source_length == 4
+        assert cand.alignment[-1].end == 4
         assert cand.natural_count == 2
 
     def test_natural_entry_wider_than_one_token_rejected(self):
@@ -205,7 +205,7 @@ class TestSeedCandidates:
         assert both.alignment == (
             Span(0, 1, ""), Span(1, 2, "song"), Span(2, 3, ""), Span(3, 4, "contact")
         )
-        assert both.source_length == 4
+        assert both.alignment[-1].end == 4
 
     def test_cap_truncates_but_keeps_original(self):
         tokens = ("jazz", "mom", "jazz", "mom", "jazz")
