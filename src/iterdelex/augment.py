@@ -43,23 +43,6 @@ class AugmentStats:
         return self.replaced_spans / self.total_spans if self.total_spans else 0.0
 
 
-def delexicalize_utterance(
-    utt: Utterance, token_table: TokenTable, replace_span: list[bool] | None = None
-) -> tuple[Utterance, int, int]:
-    """Replace gold spans by placeholders; returns (utterance, spans, replaced).
-
-    ``replace_span`` selects which spans to replace, in span order; ``None``
-    replaces all of them.
-    """
-    if utt.gold_labels is None:
-        raise ValueError("delexicalization requires gold labels")
-    spans = bio_spans(utt.gold_labels)
-    chosen = spans if replace_span is None else [
-        span for span, take in zip(spans, replace_span, strict=True) if take
-    ]
-    return _substitute(utt, chosen, token_table), len(spans), len(chosen)
-
-
 def _substitute(
     utt: Utterance, spans: list[tuple[int, int, str]], token_table: TokenTable
 ) -> Utterance:

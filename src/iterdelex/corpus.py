@@ -128,17 +128,21 @@ class Dataset:
         return iter(self.utterances)
 
     @classmethod
-    def from_utterances(cls, utterances: Iterable[Utterance]) -> Dataset:
-        """Build a Dataset, deriving sorted label and intent inventories."""
+    def from_utterances(
+        cls, utterances: Iterable[Utterance], labels: Optional[Iterable[SlotLabel]] = None
+    ) -> Dataset:
+        """Build a Dataset, deriving sorted label and intent inventories. A
+        caller that already holds every distinct gold label of ``utterances``
+        passes them as ``labels``, and the gold labels are not read again."""
         utts = tuple(utterances)
-        labels: set[SlotLabel] = {SlotLabel.outside()}
-        intents: set[str] = set()
-        for utt in utts:
-            if utt.gold_labels:
-                labels.update(utt.gold_labels)
-            if utt.gold_intent is not None:
-                intents.add(utt.gold_intent)
-        return cls(utts, tuple(sorted(labels)), tuple(sorted(intents)))
+        label_set = {SlotLabel.outside()}
+        if labels is None:
+            for utt in utts:
+                label_set.update(utt.gold_labels or ())
+        else:
+            label_set.update(labels)
+        intents = {utt.gold_intent for utt in utts if utt.gold_intent is not None}
+        return cls(utts, tuple(sorted(label_set)), tuple(sorted(intents)))
 
     @property
     def slot_types(self) -> tuple[str, ...]:
@@ -322,9 +326,10 @@ def load_dataset(path: str | Path, fmt: str = "auto", *, lowercase: bool = True)
         _load_jsonl(p, state)
     if not state.utterances:
         raise ValueError(f"{p}: no utterances")
-    if state.repairs:
+    if state.repairs:  # a repair may add a Begin label and remove an Inside one
         log.warning("%s: repaired %d orphan Inside label(s)", p, state.repairs)
-    return Dataset.from_utterances(state.utterances)
+        return Dataset.from_utterances(state.utterances)
+    return Dataset.from_utterances(state.utterances, state.labels.values())
 
 
 def save_dataset(dataset: Dataset, path: str | Path, fmt: str = "auto") -> None:

@@ -6,9 +6,9 @@ import oracle
 from iterdelex.augment import (
     AugmentConfig,
     AugmentStats,
+    _substitute,
     combine,
     delexicalize_training,
-    delexicalize_utterance,
 )
 from iterdelex.corpus import Dataset, SlotLabel, Utterance, bio_spans
 from iterdelex.gazetteer import build_token_table
@@ -27,8 +27,7 @@ TABLE = build_token_table(["contact", "song"])
 
 def test_full_replacement_collapses_spans():
     source = utt("call john smith and play hey jude", "O B-contact I-contact O O B-song I-song")
-    out, total, replaced = delexicalize_utterance(source, TABLE)
-    assert total == 2 and replaced == 2
+    out = _substitute(source, bio_spans(source.gold_labels), TABLE)
     assert out.tokens == ("call", "<contact>", "and", "play", "<song>")
     assert out.gold_labels == labels("O", "B-contact", "O", "O", "B-song")
     assert out.gold_intent == "x"
@@ -36,27 +35,20 @@ def test_full_replacement_collapses_spans():
 
 def test_selective_replacement():
     source = utt("call john smith and play hey jude", "O B-contact I-contact O O B-song I-song")
-    out, total, replaced = delexicalize_utterance(source, TABLE, [False, True])
-    assert (total, replaced) == (2, 1)
+    out = _substitute(source, bio_spans(source.gold_labels)[1:], TABLE)
     assert out.tokens == ("call", "john", "smith", "and", "play", "<song>")
 
 
 def test_no_spans_is_identity():
     source = utt("hello there", "O O")
-    out, total, replaced = delexicalize_utterance(source, TABLE)
-    assert (total, replaced) == (2 - 2, 0)
-    assert out.tokens == source.tokens
+    out = _substitute(source, bio_spans(source.gold_labels), TABLE)
+    assert out == source
 
 
 def test_unlabeled_utterance_rejected():
+    data = Dataset.from_utterances([Utterance(("hi",))])
     with pytest.raises(ValueError, match="gold labels"):
-        delexicalize_utterance(Utterance(("hi",)), TABLE)
-
-
-def test_choice_vector_length_must_match_spans():
-    source = utt("call john smith and play hey jude", "O B-contact I-contact O O B-song I-song")
-    with pytest.raises(ValueError):
-        delexicalize_utterance(source, TABLE, [True])
+        delexicalize_training(data, AugmentConfig(0.5, 1, TABLE))
 
 
 GOLD = ("O", "B-contact", "I-contact", "B-song", "I-song")
@@ -64,16 +56,16 @@ GOLD = ("O", "B-contact", "I-contact", "B-song", "I-song")
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_delexicalize_utterance_agrees_with_oracle(data):
+def test_substitute_agrees_with_oracle(data):
     """Replacing any chosen gold spans equals the oracle's substitution of
     them, labelled Begin on each placeholder and gold everywhere else."""
     tags = data.draw(st.lists(st.sampled_from(GOLD), min_size=1, max_size=10))
     source = Utterance(tuple(f"w{i}" for i in range(len(tags))), labels(*tags), "x")
     spans = bio_spans(source.gold_labels)
     choices = data.draw(st.lists(st.booleans(), min_size=len(spans), max_size=len(spans)))
-    out, total, replaced = delexicalize_utterance(source, TABLE, choices)
-
     chosen = [span for span, take in zip(spans, choices) if take]
+    out = _substitute(source, chosen, TABLE)
+
     surface_of = {slot: TABLE.surface_for(slot) for slot in TABLE.slot_types}
     want_tokens, alignment = oracle._apply_subset(source.tokens, chosen, surface_of)
     want_labels, cursor = [], 0
@@ -87,7 +79,6 @@ def test_delexicalize_utterance_agrees_with_oracle(data):
     assert out.tokens == want_tokens
     assert out.gold_labels == tuple(want_labels)
     assert out.gold_intent == "x"
-    assert (total, replaced) == (len(spans), len(chosen))
 
 
 def _corpus(n=400):

@@ -1,8 +1,12 @@
 import json
 import logging
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterdelex.corpus import (
     Dataset,
@@ -259,6 +263,36 @@ class TestIO:
         assert len(outside) > 1 and all(lab is outside[0] for lab in outside)
         assert first.utterances[0].gold_labels == again.utterances[0].gold_labels
         assert first.utterances[0].gold_labels[0] is not again.utterances[0].gold_labels[0]
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".conll"])
+    @settings(max_examples=100, deadline=None)
+    @given(tags=st.lists(st.lists(st.sampled_from(("O", "B-x", "I-x", "I-y")),
+                                  min_size=1, max_size=4), min_size=1, max_size=4))
+    def test_label_set_is_every_loaded_label(self, suffix, tags):
+        """The loaders' label inventory is Outside plus every gold label of the
+        loaded utterances, after orphan Inside labels are repaired: a label
+        whose every occurrence was repaired is left out, its Begin is in."""
+        if suffix == ".jsonl":
+            text = "".join(json.dumps({"tokens": ["w"] * len(t), "labels": t}) + "\n"
+                           for t in tags)
+        else:
+            text = "\n".join("".join(f"w\t{label}\n" for label in t) for t in tags)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"data{suffix}"
+            path.write_text(text)
+            data = load_dataset(path)
+        gold = {lab for utt in data for lab in utt.gold_labels}
+        assert data.label_set == tuple(sorted(gold | {SlotLabel.outside()}))
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".conll"])
+    def test_label_set_after_every_inside_is_repaired(self, tmp_path, suffix):
+        path = tmp_path / f"data{suffix}"
+        if suffix == ".jsonl":
+            path.write_text('{"tokens": ["a", "b"], "labels": ["O", "I-x"]}\n'
+                            '{"tokens": ["c"], "labels": ["I-x"]}\n')
+        else:
+            path.write_text("a\tO\nb\tI-x\n\nc\tI-x\n")
+        assert load_dataset(path).label_set == labels("B-x", "O")
 
     def test_jsonl_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -18,7 +18,7 @@ from iterdelex.gazetteer import (
     load_gazetteer,
     save_gazetteer,
 )
-from iterdelex.seed import Span, find_matches
+from iterdelex.seed import Span, find_matches, seed_candidates
 
 
 def labels(*texts):
@@ -225,21 +225,27 @@ class TestGazetteerIO:
 
     @pytest.mark.parametrize(
         "enabled,row", [(True, "slot\tcontact\tjohn"), (False, "slot\tcontact\tjohn"),
-                        (True, "broken line")],
+                        (True, "broken line"), (False, "broken line")],
     )
     def test_load_pauses_gc_and_restores_it(self, tmp_path, monkeypatch, enabled, row):
         """The collector is off while the file is read and back in its earlier
-        state afterwards, also when the file is malformed."""
+        state afterwards, also when the file is malformed; the load runs no
+        collection itself."""
         path = tmp_path / "gaz.tsv"
         path.write_text(row + "\n")
-        seen = []
+        seen, collected = [], []
 
         def open_text(p):
             seen.append(gc.isenabled())
             return real_open_text(p)
 
-        real_open_text = gazetteer_module.open_text
+        def collect(*generation):
+            collected.append(generation)
+            return real_collect(*generation)
+
+        real_open_text, real_collect = gazetteer_module.open_text, gc.collect
         monkeypatch.setattr(gazetteer_module, "open_text", open_text)
+        monkeypatch.setattr(gc, "collect", collect)
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -252,13 +258,21 @@ class TestGazetteerIO:
         finally:
             (gc.enable if was_enabled else gc.disable)()
         assert seen == [False]
+        assert collected == []
 
     @pytest.mark.parametrize("phrase", ["jazz", "Jazz"])
     def test_match_table_built_by_load(self, tmp_path, phrase):
+        """The load builds every table a parse reads, for lowercase files and
+        for the lowering build: one ``seed_candidates`` call adds nothing."""
         path = tmp_path / "gaz.tsv"
-        path.write_text(f"slot\tsong\t{phrase}\ncontext\t\tplay\n")
+        path.write_text(f"slot\tsong\t{phrase} music\ncontext\t\tplay\n")
         loaded = load_gazetteer(path)
-        assert vars(loaded)["match_table"] == {("jazz",): "song"}
+        assert vars(loaded)["match_table"] == {("jazz", "music"): "song"}
+        assert vars(loaded)["max_phrase_len"] == 2
+        built = set(vars(loaded))
+        seeds = seed_candidates(("play", "jazz", "music"), loaded, loaded.token_table())
+        assert seeds[1].tokens == ("play", "<song>")
+        assert set(vars(loaded)) == built
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,3 +383,29 @@ def test_hand_written_files_load_the_lazy_match_table(data):
     tokens = data.draw(st.lists(st.sampled_from(WORDS + ("for",)), min_size=1, max_size=8))
     expected = oracle._match_phrases(lowered(tokens), table, max_len=3)
     assert find_matches(tokens, loaded) == tuple(Span(*m) for m in expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_loaded_max_phrase_len_is_the_longest_key(data):
+    """The ``max_phrase_len`` that ``load_gazetteer`` sets is the token count
+    of the match table's longest key, also when context or ambiguous rows
+    remove every longest slot phrase, when the file is mixed
+    case, and when it has no slot rows."""
+    phrase = st.lists(st.sampled_from(WORDS), min_size=1, max_size=5).map(tuple)
+    slot_rows = data.draw(st.lists(st.tuples(st.sampled_from(SLOTS), phrase), max_size=5))
+    excluded = data.draw(st.lists(phrase, max_size=3))
+    if slot_rows and data.draw(st.booleans()):
+        longest = max(len(p) for _, p in slot_rows)
+        excluded += [p for _, p in slot_rows if len(p) == longest]
+    if data.draw(st.booleans()):
+        slot_rows = [(slot, lowered(p)) for slot, p in slot_rows]
+        excluded = [lowered(p) for p in excluded]
+    kinds = st.sampled_from(("context", "ambiguous"))
+    lines = [f"slot\t{slot}\t{' '.join(p)}" for slot, p in slot_rows]
+    lines += [f"{data.draw(kinds)}\t\t{' '.join(p)}" for p in excluded]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gaz.tsv"
+        path.write_text("\n".join(data.draw(st.permutations(lines))) + "\n", encoding="utf-8")
+        loaded = load_gazetteer(path)
+    assert vars(loaded)["max_phrase_len"] == max(map(len, loaded.match_table), default=0)
