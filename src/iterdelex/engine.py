@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 from iterdelex.backend import Backend, ParseResult
@@ -54,12 +55,16 @@ class EngineConfig:
     seed_cap: int = DEFAULT_SEED_CAP
 
     def __post_init__(self) -> None:
+        # a string would pass the rewrite moves' ``slot in ood_slots`` tests by
+        # substring: "contact,message" would make the slot type "act" out of domain
+        if isinstance(self.ood_slots, str):
+            raise ValueError("ood_slots must be a sequence of slot types, not a string")
         if not self.tau >= 0:  # rejects NaN too
             raise ValueError("tau must be non-negative")
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
-        if self.seed_cap < 1:
-            raise ValueError("seed_cap must be at least 1")
+        for name in ("top_k", "seed_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
 
 
 def score(parse: ParseResult, *, entropy_floor: float = DEFAULT_ENTROPY_FLOOR) -> float:

@@ -31,9 +31,12 @@ down the columns of a classes x distinct-rows buffer. It then gathers the
 probabilities back to every row, so its loss and gradient are those of one
 softmax per design row, bit for bit, and so are the fitted weights.
 
-The module needs numpy and scipy and nothing else, and it exhibits the
-property the rewrite engine relies on: tokens seen in context during
-training get confident (low-entropy) label distributions, while
+The module needs numpy and scipy and nothing else, and only fitting
+needs scipy: :meth:`LogLinearBackend.train` imports ``scipy.sparse`` and
+:func:`minimize` imports ``scipy.optimize``, each when first called, so a
+process that loads a model and parses never imports scipy. The model
+exhibits the property the rewrite engine relies on: tokens seen in context
+during training get confident (low-entropy) label distributions, while
 out-of-vocabulary tokens do not.
 """
 
@@ -44,14 +47,15 @@ import math
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import minimize
 
 from iterdelex.backend import Backend, ParseResult
 from iterdelex.corpus import Dataset, SlotLabel, open_text
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FORMAT_NAME = "iterdelex-loglinear"
 FORMAT_VERSION = 1
@@ -243,6 +247,15 @@ def _make_objective(x: sp.csr_matrix, y: np.ndarray, n_classes: int, l2: float):
     return objective
 
 
+def minimize(fun, x0, *args, **kwargs):
+    """``scipy.optimize.minimize``, imported when first called, so that only
+    a process that fits a model imports it. :func:`_fit_softmax` looks this
+    name up on each call, so replacing the module attribute reaches every fit."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, *args, **kwargs)
+
+
 def _fit_softmax(
     x: sp.csr_matrix, y: np.ndarray, n_classes: int, l2: float, max_iter: int
 ) -> np.ndarray:
@@ -338,6 +351,8 @@ class LogLinearBackend(Backend):
     @classmethod
     def train(cls, corpus: Dataset, params: TrainingParams | None = None) -> LogLinearBackend:
         """Fit on a labeled corpus; every utterance must carry labels and intent."""
+        import scipy.sparse as sp  # only fitting needs scipy; see the module docstring
+
         params = params or TrainingParams()
         if len(corpus.label_set) < 2:
             raise ValueError("training requires at least 2 slot labels")

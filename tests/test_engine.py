@@ -88,11 +88,39 @@ class TestEngineConfig:
             dict(top_k=0),
             dict(seed_cap=0),
             dict(tau=float("nan")),
+            dict(top_k=2.5),
+            dict(top_k=2.0),
+            dict(top_k="2"),
+            dict(top_k=True),
+            dict(seed_cap=1.5),
+            dict(seed_cap=True),
+            dict(seed_cap=False),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             EngineConfig(ood_slots=("msg",), **kwargs)
+
+    @pytest.mark.parametrize("ood_slots", ["msg", "contact,message", ""])
+    def test_string_ood_slots_rejected(self, ood_slots):
+        with pytest.raises(ValueError, match="not a string"):
+            EngineConfig(ood_slots=ood_slots)
+
+    @pytest.mark.parametrize("top_k", [1, 3, np.int64(3)])
+    def test_integral_values_accepted(self, top_k):
+        cfg = EngineConfig(ood_slots=("msg",), top_k=top_k, seed_cap=top_k)
+        assert cfg.top_k == top_k and cfg.seed_cap == top_k
+
+    def test_list_ood_slots_parse_as_the_tuple(self):
+        """A list, as a JSON job gives it, rewrites what the tuple does."""
+        backend = make_backend({"hi": peaked("O", 0.99), "there": peaked("I-msg", 0.4)})
+        tokens = ["hi", "there", "hi"]
+        got = iterative_parse(tokens, backend, gaz({}), TABLE,
+                              EngineConfig(ood_slots=["msg"], tau=0.5))
+        want = iterative_parse(tokens, backend, gaz({}), TABLE,
+                               EngineConfig(ood_slots=("msg",), tau=0.5))
+        assert len(want.evaluations) > 1  # the msg run was rewritten
+        assert got.evaluations == want.evaluations and got.labels == want.labels
 
     def test_infinite_tau_allowed(self):
         assert EngineConfig(ood_slots=("msg",), tau=float("inf")).tau == float("inf")

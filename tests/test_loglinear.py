@@ -1,7 +1,12 @@
 """Trained-backend behavior: fit quality on a toy corpus, serialization,
 determinism, and the uncertainty signal on out-of-vocabulary tokens."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,3 +498,62 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported model version"):
             LogLinearBackend.load(path)
+
+
+# Run in a fresh interpreter by the test below: it loads a model and a
+# gazetteer, parses with and without the engine, records the scipy modules
+# loaded so far, then trains on a corpus file and saves the model.
+_FRESH_PROCESS = """
+import json, sys
+from iterdelex import EngineConfig, LogLinearBackend, TrainingParams, iterative_parse
+from iterdelex.corpus import load_dataset
+from iterdelex.gazetteer import load_gazetteer
+
+model_path, gazetteer_path, corpus_path, out_path = sys.argv[1:5]
+model = LogLinearBackend.load(model_path)
+gazetteer = load_gazetteer(gazetteer_path)
+config = EngineConfig(ood_slots=("contact", "genre"), tau=0.5)
+outcome = iterative_parse(["call", "zed", "now"], model, gazetteer, gazetteer.token_table(), config)
+batch = model.parse_many([["play", "jazz", "music"], ["call", "alice"]])
+serving = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+params = TrainingParams(special_tokens=tuple(sys.argv[5:]))
+LogLinearBackend.train(load_dataset(corpus_path), params).save(out_path)
+print(json.dumps({
+    "serving": serving,
+    "delexicalized": list(outcome.best.tokens),
+    "intents": [parse.predicted_intent for parse in batch],
+    "trained_with": sorted(n for n in ("scipy.optimize", "scipy.sparse") if n in sys.modules),
+}))
+"""
+
+
+def test_serving_loads_no_scipy_and_lazy_training_writes_the_same_bytes(backend, tmp_path):
+    """A fresh process that imports iterdelex, loads a model and a gazetteer
+    and parses imports no scipy module; training then imports scipy and
+    writes the bytes that training in this process, where scipy was loaded
+    up front, writes."""
+    from iterdelex.corpus import load_dataset, save_dataset
+    from iterdelex.gazetteer import build_gazetteer, save_gazetteer
+
+    model, gazetteer, corpus = (tmp_path / n for n in ("model.json", "gaz.tsv", "train.jsonl"))
+    backend.save(model)
+    plain = [u for u in toy_corpus() if not any(t.startswith("<") for t in u.tokens)]
+    save_gazetteer(build_gazetteer(Dataset.from_utterances(plain)), gazetteer)
+    save_dataset(toy_corpus(), corpus)
+    assert "scipy.optimize" in sys.modules  # the premise: fitted here with scipy loaded
+    LogLinearBackend.train(load_dataset(corpus), PARAMS).save(tmp_path / "here.json")
+
+    path = [str(Path(loglinear.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, str(model), str(gazetteer), str(corpus),
+         str(tmp_path / "fresh.json"), *PARAMS.special_tokens],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["serving"] == []
+    assert report["delexicalized"] == ["call", "<contact>", "now"]
+    assert report["intents"] == ["play", "call"]
+    assert report["trained_with"] == ["scipy.optimize", "scipy.sparse"]
+    assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
