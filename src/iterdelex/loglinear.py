@@ -26,10 +26,11 @@ one boundary id between sequences, and gives each the bits of its ``parse``.
 Each model is fitted by scipy's L-BFGS-B over a sparse design, one row per
 position (or utterance). The corpus and its delexicalized copies repeat the
 same rows many times, so the objective that :func:`_make_objective` builds
-once per fit scores each distinct row once and runs the softmax class-major,
-down the columns of a classes x distinct-rows buffer. It then gathers the
-probabilities back to every row, so its loss and gradient are those of one
-softmax per design row, bit for bit, and so are the fitted weights.
+once per fit scores each distinct row once, runs the softmax ``parse`` uses
+on it and weights it by its number of copies; the targets enter through one
+product with the design, computed once per fit. Its loss and gradient are
+those of one softmax per design row up to rounding, since a sum weighted by
+counts adds in another order than the sum of the copies.
 
 The module needs numpy and scipy and nothing else, and only fitting
 needs scipy: :meth:`LogLinearBackend.train` imports ``scipy.sparse`` and
@@ -155,51 +156,10 @@ def _softmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, total
 
 
-def _column_sums(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the sum of each column of ``a``, added in the order
-    of numpy's pairwise sum of a contiguous row, so that it equals
-    ``np.add.reduce(a.T, axis=1)`` bit for bit: fewer than 8 entries one by
-    one, up to 128 in eight running sums, more split in two at half the count
-    rounded down to a multiple of 8. ``scratch`` is 8 rows of ``out``'s width."""
-    k = len(a)
-    if k < 8:
-        out[...] = a[0]
-        for row in a[1:]:
-            out += row
-    elif k <= 128:
-        r = scratch
-        r[...] = a[:8]
-        for i in range(8, k - k % 8, 8):
-            r += a[i:i + 8]
-        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
-            r[i] += r[j]
-        np.add(r[0], r[4], out=out)
-        for row in a[k - k % 8:]:
-            out += row
-    else:
-        half = k // 2 - k // 2 % 8
-        _column_sums(a[:half], out, scratch)
-        out += _column_sums(a[half:], np.empty_like(out), scratch)
-    return out
-
-
-def _softmax_columns(scores: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_softmax_rows` of ``scores.T``, bit for bit, in place on the
-    classes x rows array ``scores``: overwrite each column with its softmax and
-    return the column maxima and sums. ``scratch`` is 8 rows of its width."""
-    top = np.maximum.reduce(scores, axis=0)
-    scores -= top
-    np.exp(scores, out=scores)
-    total = _column_sums(scores, np.empty_like(top), scratch)
-    scores /= total
-    return top, total
-
-
 def _distinct_rows(x: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     """The distinct rows of ``x``, each the first row of its kind, and the
     distinct row of every row of ``x``. Rows are the same when their stored
-    indices and data are, in stored order, so a row of ``xu @ w`` has the bits
-    of its rows in ``x @ w``."""
+    indices and data are, in stored order."""
     ptr, size, dsize = x.indptr.tolist(), x.indices.itemsize, x.data.itemsize
     indices, data = x.indices.tobytes(), x.data.tobytes()
     seen: dict[tuple[bytes, bytes], int] = {}
@@ -218,29 +178,25 @@ def _make_objective(x: sp.csr_matrix, y: np.ndarray, n_classes: int, l2: float):
     a function of the flattened weights that returns the mean cross-entropy +
     l2*||W||^2 (bias row unregularized) and its gradient.
 
-    It scores each distinct row of ``x`` once and runs the softmax class-major,
-    down the columns of a buffer allocated here, then gathers the distinct
-    rows back to every row of ``x``, so the nll's terms and the gradient's
-    rows are the row-by-row softmax's values, added in its order."""
+    It scores each distinct row of ``x`` once and weights it by ``c``, its
+    number of copies: the nll is (sum_u c_u lse(x_u W) - <W, X^T Y>) / n and
+    its gradient (X_u^T (c * P_u) - X^T Y) / n, with Y the one-hot targets.
+    The targets enter only through X^T Y, computed here once."""
     n, n_features = x.shape
     xu, inv = _distinct_rows(x)
-    scores = np.empty((n_classes, xu.shape[0]))
-    scratch = np.empty((8, xu.shape[0]))
-    picked = inv * n_classes + y  # each row's target score in xu @ w, flat
-    hit = np.arange(n) * n_classes + y  # each row's target in the gradient rows, flat
+    counts = np.bincount(inv).astype(float)
+    # each distinct row's copies per target, Y_u, so that X^T Y = X_u^T Y_u
+    per_target = np.bincount(inv * n_classes + y, minlength=xu.shape[0] * n_classes)
+    xut = xu.T
+    xty = xut @ per_target.reshape(-1, n_classes).astype(float)
     reg_mask = (np.arange(n_features) > 0)[:, None]  # feature 0, the bias, is exempt
-    xt = x.T
 
     def objective(flat: np.ndarray):
         w = flat.reshape(n_features, n_classes)
-        distinct = xu @ w
-        target = distinct.ravel()[picked]
-        scores[...] = distinct.T
-        top, total = _softmax_columns(scores, scratch)  # the scores become probabilities
-        nll = ((top + np.log(total))[inv] - target).mean()
-        probs = np.ascontiguousarray(scores.T[inv])  # so that ravel() is a view
-        probs.ravel()[hit] -= 1.0  # now the nll's gradient in the scores, times n
-        grad = (xt @ probs) / n + 2.0 * l2 * (reg_mask * w)
+        probs = xu @ w
+        top, total = _softmax_rows(probs)  # the scores become probabilities
+        nll = (counts @ (top + np.log(total))[:, 0] - (w * xty).sum()) / n
+        grad = (xut @ (counts[:, None] * probs) - xty) / n + 2.0 * l2 * (reg_mask * w)
         loss = nll + l2 * float((reg_mask * w * w).sum())
         return loss, grad.ravel()
 

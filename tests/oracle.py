@@ -23,9 +23,11 @@ computed with scipy's ``logsumexp``, a second ``exp`` and a dense one-hot
 target matrix; the backend's objective must match it to rounding.
 
 ``reference_row_objective`` is the training objective in row layout, as
-training computed it before it went through the design's distinct rows and a
-class-major softmax: every row of the design scored and normalized on its
-own. The backend's objective must match it bit for bit.
+training computed it before it went through the design's distinct rows:
+every row of the design scored and normalized on its own. The backend's
+objective, which weights each distinct row by its copies, must match it to
+1e-12 of max(1, |value|), and a fit must pick the same classes as a fit of
+this objective.
 
 ``random_world`` draws the small scripted worlds the search is compared in:
 ``random_model`` a label inventory and scripted backend, ``random_utterance``

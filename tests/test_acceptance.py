@@ -334,6 +334,24 @@ def test_criterion_05_direction_of_effect(pipeline):
         assert drop <= 2.0, f"slot {slot} degraded by {drop:.2f} points"
 
     assert eng.intent_accuracy >= base.intent_accuracy
+
+    # the quality anchors as exact counts, so that a change in predictions
+    # shows even where the direction checks above still pass
+    def counts(rep):
+        msg, scores = rep.per_slot["message"], rep.per_slot.values()
+        return {
+            "message": (msg.matched, msg.predicted_count, msg.gold_count),
+            "overall": tuple(sum(getattr(s, a) for s in scores)
+                             for a in ("matched", "predicted_count", "gold_count")),
+            "intent": (rep.intent_correct, rep.utterance_count),
+        }
+
+    assert counts(eng) == {
+        "message": (241, 253, 247), "overall": (810, 822, 816), "intent": (549, 550)
+    }
+    assert counts(base) == {
+        "message": (211, 276, 247), "overall": (780, 846, 816), "intent": (546, 550)
+    }
     assert pipeline["elapsed"] < 300.0
     worst_drop = max(regressions.values())
     report(5, f"message F1 {base.per_slot['message'].f1 * 100:.2f} -> "
