@@ -150,17 +150,6 @@ class Dataset:
         return tuple(seen)
 
 
-def is_valid_bio(labels: Sequence[SlotLabel]) -> bool:
-    """True when every Inside follows a Begin/Inside of the same slot type."""
-    prev: Optional[SlotLabel] = None
-    for lab in labels:
-        if lab.kind == INSIDE:
-            if prev is None or prev.is_outside or prev.slot_type != lab.slot_type:
-                return False
-        prev = lab
-    return True
-
-
 def repair_bio(labels: Sequence[SlotLabel]) -> tuple[tuple[SlotLabel, ...], int]:
     """Turn orphan Inside labels into Begin; returns (labels, repair count)."""
     out: list[SlotLabel] = []

@@ -287,10 +287,10 @@ def _read_gazetteer(p: Path) -> Gazetteer:
             slot_phrases[slot].append(phrase)
             if len(phrase) > longest:
                 longest = len(phrase)
-        elif kind == "context":
-            context.append(phrase)
-        elif kind == "ambiguous":
-            ambiguous.append(phrase)
+        elif kind == "context" or kind == "ambiguous":
+            if slot:
+                raise ValueError(f"{p}:{lineno}: {kind} row with a name")
+            (context if kind == "context" else ambiguous).append(phrase)
         elif kind == "group":
             if not slot:
                 raise ValueError(f"{p}:{lineno}: group row without a group name")

@@ -14,14 +14,16 @@ special), named by :func:`_slot_feature_names`. Training and parsing both
 reach them through token ids: :func:`_id_features` gives every known token
 (the vocabulary and the placeholders) an id, plus one id for any other
 token and one for the boundary beyond either end of a sequence, and names
-each id's features; :func:`_window` says which id each template reads.
-Training sorts the names it observes into the model's features; the
-backend maps each id's names to weight rows once, when it is built, and a
-name the model never saw to a zero row. A parse looks each token up once,
-gathers five weight rows per position, adds them in template order and
-runs one softmax, which gives the same bits as summing the named rows.
-:meth:`LogLinearBackend.parse_many` does this once for a whole batch, with
-one boundary id between sequences, and gives each the bits of its ``parse``.
+each id's features; :func:`_batch_ids` lays sequences out end to end with
+a boundary id around each, and :func:`_window` says which id each template
+reads. Training sorts the names it observes into the model's features.
+When the backend is built, it gathers each template's weight row for every
+id (a zero row for a name the model never saw) and adds the bias and cur
+tables once, the first add in template order. Tagging has one path,
+:meth:`LogLinearBackend.parse_many`, and ``parse`` is a batch of one: it
+looks each token up once, gathers four table rows per position, adds them
+in template order and runs one softmax, which gives the same bits as
+summing the named rows.
 
 Each model is fitted by scipy's L-BFGS-B over a sparse design, one row per
 position (or utterance). The corpus and its delexicalized copies repeat the
@@ -105,20 +107,25 @@ def _window(ids: np.ndarray) -> tuple[np.ndarray, ...]:
     return own, own, ids[:-2], ids[2:], own
 
 
-def _batch_window(
-    sequences: Iterable[Sequence[str]], token_ids: Mapping[str, int]
-) -> tuple[np.ndarray, ...]:
-    """:func:`_window` over the sequences laid end to end with one boundary
-    id before, between and after them, less the inner boundaries' own
-    positions: one position per token of every sequence, in order. Ids are
-    those of :func:`_id_features`."""
+def _batch_ids(sequences: Iterable[Sequence[str]], token_ids: Mapping[str, int]) -> np.ndarray:
+    """The ids of the sequences' tokens laid end to end, with one boundary id
+    before, between and after them. Ids are those of :func:`_id_features`."""
     other, boundary = len(token_ids), len(token_ids) + 1
     ids = [boundary]
     for tokens in sequences:
-        ids.extend(token_ids.get(tok, other) for tok in tokens)
+        ids += [token_ids.get(tok, other) for tok in tokens]
         ids.append(boundary)
-    window = _window(np.array(ids))
-    kept = window[0] != boundary  # an inner boundary is no position
+    return np.array(ids)
+
+
+def _batch_window(
+    sequences: Iterable[Sequence[str]], token_ids: Mapping[str, int]
+) -> tuple[np.ndarray, ...]:
+    """Training's :func:`_window` over the corpus's :func:`_batch_ids`, less
+    the inner boundaries' own positions: one position per token of every
+    sequence, in order, so that each is one row of the design."""
+    window = _window(_batch_ids(sequences, token_ids))
+    kept = window[0] != len(token_ids) + 1  # an inner boundary is no position
     return tuple(sel[kept] for sel in window)
 
 
@@ -288,18 +295,14 @@ class LogLinearBackend(Backend):
         self.special_tokens = frozenset(special_tokens)
         self.params = params
         self._token_ids, templates, bags = _id_features(self.vocab, self.special_tokens)
-        self._other_id = len(self._token_ids)
-        self._boundary_id = self._other_id + 1
         # a feature the model never saw has column len(slot_features): a zero row
-        self._slot_rows = np.vstack(
-            [self.slot_weights, np.zeros((1, self.slot_weights.shape[1]))]
+        rows = np.vstack([self.slot_weights, np.zeros((1, self.slot_weights.shape[1]))])
+        # per template, each id's weight row
+        bias, cur, self._prev_rows, self._next_rows, self._special_rows = (
+            rows[col] for col in _columns(self.slot_features, templates)
         )
-        self.slot_weights = self._slot_rows[:-1]  # a view: the saved weights
-        bias, self._cur_rows, self._prev_rows, self._next_rows, self._special_rows = _columns(
-            self.slot_features, templates
-        )
-        self._bias_row = int(bias[0])
-        # column len(intent_features) is a bag bin that parse drops
+        self._own_rows = bias + cur  # the first add in template order, once per id
+        # column len(intent_features) is a bag bin that parse_many drops
         self._bag_columns = _columns(self.intent_features, [bags])[0]
 
     # -- training ----------------------------------------------------------
@@ -382,67 +385,48 @@ class LogLinearBackend(Backend):
 
     # -- inference -----------------------------------------------------------
 
-    def _slot_scores(self, window: tuple[np.ndarray, ...]) -> np.ndarray:
-        """The slot scores of the positions ``window`` (a :func:`_window`)
-        reads: each position's five template rows, added in template order,
-        as in training."""
-        _, cur, prev, nxt, special = window
-        w = self._slot_rows
+    def _slot_scores(self, ids: np.ndarray) -> np.ndarray:
+        """The slot scores of the positions of ``ids[1:-1]``: each position's
+        five template rows, added in template order, as in training."""
+        own, _, prev, nxt, _ = _window(ids)
         return (
-            w[self._bias_row]
-            + w[self._cur_rows[cur]]
-            + w[self._prev_rows[prev]]
-            + w[self._next_rows[nxt]]
-            + w[self._special_rows[special]]
+            self._own_rows[own] + self._prev_rows[prev] + self._next_rows[nxt]
+            + self._special_rows[own]
         )
 
     def parse(self, tokens: Sequence[str]) -> ParseResult:
-        if not tokens:
-            raise ValueError("cannot parse an empty token sequence")
-        token_ids, other = self._token_ids, self._other_id
-        ids = np.array(
-            [self._boundary_id, *[token_ids.get(tok, other) for tok in tokens], self._boundary_id]
-        )
-        window = _window(ids)
-        dists = self._slot_scores(window)
-        _softmax_rows(dists)  # the scores become probabilities
-
-        n_bag = len(self.intent_features)
-        bag = np.bincount(self._bag_columns[window[1]], minlength=n_bag + 1)[:n_bag].astype(float)
-        bag[0] += 1.0
-        intent_dist = bag @ self.intent_weights
-        _softmax_rows(intent_dist[None, :])
-        return ParseResult.from_distributions(
-            self.label_set, self.intent_set, dists, intent_dist
-        )
+        return self.parse_many([tokens])[0]
 
     def parse_many(self, sequences: Sequence[Sequence[str]]) -> list[ParseResult]:
-        """Parse the sequences as one batch, laid out as training lays out the
-        corpus; each result has the bits ``parse`` gives the sequence alone."""
+        """Parse the sequences as one batch, laid out by :func:`_batch_ids`. An
+        inner boundary is scored as a position and then skipped, so each
+        sequence's rows have the bits they have in a batch of its own."""
         if not sequences:
             return []
         if not all(sequences):
             raise ValueError("cannot parse an empty token sequence")
-        window = _batch_window(sequences, self._token_ids)
-        dists = self._slot_scores(window)
-        _softmax_rows(dists)
+        ids = _batch_ids(sequences, self._token_ids)
+        dists = self._slot_scores(ids)
+        _softmax_rows(dists)  # the scores become probabilities
 
-        lengths = [len(tokens) for tokens in sequences]
-        n_seq, n_bag = len(lengths), len(self.intent_features)
-        owner = np.repeat(np.arange(n_seq), lengths)  # the sequence of each position
-        bags = np.bincount(
-            owner * (n_bag + 1) + self._bag_columns[window[1]], minlength=n_seq * (n_bag + 1)
-        ).reshape(n_seq, n_bag + 1)[:, :n_bag].astype(float)
-        bags[:, 0] += 1.0
-        # one product per sequence: one over all of them changes the last bit of some
-        intent_dists = np.array([bag @ self.intent_weights for bag in bags])
+        n_bag = len(self.intent_features)
+        bag_columns = self._bag_columns[ids[1:-1]]
+        spans, scores, start = [], [], 0
+        for tokens in sequences:
+            end = start + len(tokens)
+            bag = np.bincount(bag_columns[start:end], minlength=n_bag + 1)[:n_bag].astype(float)
+            bag[0] += 1.0
+            # one product per sequence: one over all of them changes the last bit of some
+            scores.append(bag @ self.intent_weights)
+            spans.append((start, end))
+            start = end + 1  # past the boundary after the sequence
+        intent_dists = np.array(scores)
         _softmax_rows(intent_dists)
-        ends = np.cumsum(lengths).tolist()
         return [
             ParseResult.from_distributions(
-                self.label_set, self.intent_set, dists[end - n:end], intent_dist
+                self.label_set, self.intent_set, dists[start:end], intent_dist
             )
-            for n, end, intent_dist in zip(lengths, ends, intent_dists)
+            for (start, end), intent_dist in zip(spans, intent_dists)
         ]
 
     # -- serialization --------------------------------------------------------

@@ -29,6 +29,9 @@ objective, which weights each distinct row by its copies, must match it to
 1e-12 of max(1, |value|), and a fit must pick the same classes as a fit of
 this objective.
 
+``is_valid_bio`` says whether a label sequence is well formed: every
+Inside label follows a Begin or Inside label of the same slot type.
+
 ``random_world`` draws the small scripted worlds the search is compared in:
 ``random_model`` a label inventory and scripted backend, ``random_utterance``
 a gazetteer, an utterance and engine settings for that model's slot types.
@@ -43,12 +46,23 @@ import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from iterdelex.backend import ParseResult, ScriptedBackend, one_hot, peaked, uniform
-from iterdelex.corpus import SlotLabel
+from iterdelex.corpus import INSIDE, SlotLabel
 from iterdelex.gazetteer import Gazetteer, build_token_table
 
 Entry = tuple
 Align = tuple[Entry, ...]
 Cand = tuple[tuple[str, ...], Align]
+
+
+def is_valid_bio(labels) -> bool:
+    """True when every Inside follows a Begin/Inside of the same slot type."""
+    prev = None
+    for lab in labels:
+        if lab.kind == INSIDE:
+            if prev is None or prev.is_outside or prev.slot_type != lab.slot_type:
+                return False
+        prev = lab
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from iterdelex.cli import main
 from iterdelex.corpus import (
     SlotLabel,
     bio_spans,
-    is_valid_bio,
     load_dataset,
 )
 from iterdelex.engine import EngineConfig, iterative_parse, project_labels, score
@@ -113,7 +112,7 @@ def test_criterion_02_termination():
         n = len(tokens)
         assert outcome.iterations_run <= n, (tokens, outcome.iterations_run)
         assert len(outcome.labels) == n
-        assert is_valid_bio(outcome.labels)
+        assert oracle.is_valid_bio(outcome.labels)
         worst_ratio = max(worst_ratio, outcome.iterations_run / n)
     report(2, "1000 random scripted worlds (n <= 12): iterations_run <= n always "
               f"(worst iterations/n = {worst_ratio:.2f}); in-loop strict-decrease "
@@ -418,7 +417,7 @@ def test_criterion_08_projection_correctness():
         labels, _ = project_labels(cand, backend.parse(cand.tokens))
 
         assert len(labels) == source_len
-        assert is_valid_bio(labels)
+        assert oracle.is_valid_bio(labels)
         for entry in alignment:
             if not entry.slot_type:
                 continue

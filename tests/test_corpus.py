@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import is_valid_bio
 from iterdelex.corpus import (
     Dataset,
     SlotLabel,
     Utterance,
     bio_spans,
-    is_valid_bio,
     load_dataset,
     repair_bio,
     save_dataset,

@@ -17,7 +17,7 @@ from iterdelex.backend import (
     peaked,
     uniform,
 )
-from iterdelex.corpus import SlotLabel, is_valid_bio
+from iterdelex.corpus import SlotLabel
 from iterdelex.engine import (
     EngineConfig,
     generate_rewrites,
@@ -337,7 +337,7 @@ def test_projection_is_valid_bio_over_the_source(case):
     cand, predicted = case
     out, repairs = project_labels(cand, fake_parse(predicted, PROJECTION_LABELS))
     assert len(out) == cand.alignment[-1].end
-    assert is_valid_bio(out)
+    assert oracle.is_valid_bio(out)
     cursor, repaired = 0, 0
     for pos, entry in enumerate(cand.alignment):
         if not entry.slot_type:

@@ -191,6 +191,8 @@ class TestGazetteerIO:
             ("slot\tcontact\t", "empty phrase"),
             ("slot\t\tjohn", "without a slot type"),
             ("group\t\tsong date", "without a group name"),
+            ("context\tcontact\tcall", r"gaz\.tsv:1: context row with a name"),
+            ("ambiguous\tcontact\tcall", r"gaz\.tsv:1: ambiguous row with a name"),
             ("mystery\t\tjohn", "unknown row kind"),
             ("slot\tmy contact\tbob", "slot type 'my contact' contains whitespace"),
             ("slot\tsong\tjazz\ngroup\tmy g\tsong", "group name 'my g' contains whitespace"),

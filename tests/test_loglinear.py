@@ -343,21 +343,38 @@ def test_parse_equals_named_feature_reference_bitwise(sparse_backend):
     check()
 
 
-@pytest.mark.parametrize("fixture", ["backend", "sparse_backend"])
-def test_parse_many_equals_parse_bitwise(request, fixture):
-    """A batch of vocabulary words, placeholders (in and out of the model's
-    vocabulary) and unseen tokens parses to the bits of one ``parse`` per
-    sequence."""
-    model = request.getfixturevalue(fixture)
+@st.composite
+def parse_batches(draw):
+    """Batches, the empty one included, of vocabulary words, placeholders (in
+    and out of the model's vocabulary) and unseen tokens, with one-token
+    sequences, sequences that begin or end with a placeholder or unseen
+    token, and repeats."""
     words = sorted({tok for u in toy_corpus() for tok in u.tokens}) + list(UNSEEN)
+    edges = st.sampled_from(("<contact>", "<genre>", *UNSEEN))
+    middle = st.lists(st.sampled_from(words), max_size=10)
+    sequence = st.one_of(
+        st.lists(st.sampled_from(words), min_size=1, max_size=12),
+        st.lists(edges, min_size=1, max_size=1),
+        st.tuples(edges, middle, edges).map(lambda t: [t[0], *t[1], t[2]]),
+    )
+    distinct = draw(st.lists(sequence, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=6)) if distinct else []
+    return draw(st.permutations(distinct + repeats))
+
+
+@pytest.mark.parametrize("fixture", ["backend", "sparse_backend"])
+def test_parse_many_equals_named_feature_reference_bitwise(request, fixture):
+    """Each result of a batch has the bits of the named-feature reference
+    parse of its sequence alone, whatever its neighbours in the batch."""
+    model = request.getfixturevalue(fixture)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=12), max_size=20))
+    @given(parse_batches())
     def check(batch):
         got = model.parse_many(batch)
         assert len(got) == len(batch)
         for result, tokens in zip(got, batch):
-            assert_same_parse(result, model.parse(tokens))
+            assert_same_parse(result, oracle.reference_parse(model, tokens))
 
     check()
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from iterdelex.corpus import is_valid_bio
+from oracle import is_valid_bio
 from iterdelex.synth import (
     IntentTemplates,
     SyntheticSpec,
