@@ -22,8 +22,9 @@ trap 'rm -rf "$work"' EXIT
 
 echo "== the iterdelex CLI end to end"
 # two trainings in two processes must write the same bytes, as must two
-# engine infer calls and two baseline ones, and a row appended to the
-# gazetteer must take effect without retraining
+# engine infer calls and two baseline ones, and the same settings given in a
+# config file instead of flags; a row appended to the gazetteer must take
+# effect without retraining
 (
   cd "$work"
   python -c "from iterdelex.synth import default_spec, save_spec; save_spec(default_spec(), 'spec.json')"
@@ -45,6 +46,15 @@ echo "== the iterdelex CLI end to end"
   done
   cmp run/base1.jsonl run/base2.jsonl
   "${iterdelex[@]}" eval --gold data/test.jsonl --pred run/base1.jsonl
+  printf 'ood_slots = message\ntau = 0.1\n' > engine.cfg
+  printf 'baseline = yes\n' > baseline.cfg
+  for mode in engine baseline; do
+    "${iterdelex[@]}" infer --model run/model.json --gazetteer run/gazetteer.tsv \
+                            --input data/test.jsonl --output run/$mode-config.jsonl \
+                            --config $mode.cfg
+  done
+  cmp run/pred1.jsonl run/engine-config.jsonl
+  cmp run/base1.jsonl run/baseline-config.jsonl
   printf 'slot\tcontact\tZarqo Vell\n' >> run/gazetteer.tsv
   echo '{"tokens": ["call", "zarqo", "vell"]}' > swap.jsonl
   "${iterdelex[@]}" infer --model run/model.json --gazetteer run/gazetteer.tsv \

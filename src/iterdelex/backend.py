@@ -139,7 +139,8 @@ IntentRule = Union[str, Callable[[Sequence[str]], str]]
 
 @dataclass(frozen=True)
 class DistributionRecipe:
-    """Declarative distribution over a label set, resolved at parse time."""
+    """Declarative distribution over a label set, resolved once, when a
+    ``ScriptedBackend`` is built."""
 
     kind: str  # "one_hot", "uniform" or "peaked"
     label: Optional[str] = None

@@ -14,7 +14,7 @@ import json
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 # Only ``train`` needs scipy, and the library imports it only when it fits a
 # model. The CLI imports it here anyway, with the module, so every command
@@ -39,7 +39,7 @@ from iterdelex.engine import (
 from iterdelex.gazetteer import build_gazetteer, load_gazetteer, save_gazetteer
 from iterdelex.loglinear import LogLinearBackend, TrainingParams
 from iterdelex.metrics import evaluate
-from iterdelex.synth import generate_corpus, load_spec
+from iterdelex.synth import generate_corpus, load_spec, open_slot_oov
 
 DEFAULT_PS = 0.75
 DEFAULT_SEED = 0
@@ -48,15 +48,13 @@ DEFAULT_SEED = 0
 PARSE_CACHE_SIZE = 4096
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage errors surface as validation failures (exit 1)."""
 
-    def error(self, message: str):
-        raise _UsageError(f"{self.prog}: {message}")
+    commands: dict[str, "_Parser"]  # the subcommand parsers by name, on the root
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +71,20 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-# per-subcommand tunables a config file may set, with their converters
-_CONFIG_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
-    "train": {"ps": float, "seed": int},
-    "infer": {"tau": float, "k": int, "ood_slots": str, "baseline": _parse_bool,
-              "trace": str},
-    "eval": {"categories": str},
-    "gen": {"seed": int},
-}
+def _config_keys(parser: _Parser) -> dict[str, Callable[[str], object]]:
+    """A subcommand's config keys: its optional flags but ``--config``, by
+    ``dest``, each read with the flag's own type (a flag that takes no value
+    reads a boolean word; one without a type keeps the string)."""
+    return {
+        action.dest: _parse_bool if action.nargs == 0 else action.type or str
+        for action in parser._actions
+        if action.option_strings and not action.required
+        and action.dest not in ("help", "config")
+    }
 
 
-def _read_config(path: str, command: str) -> dict[str, object]:
-    allowed = _CONFIG_KEYS[command]
+def _read_config(path: str, command: str, parser: _Parser) -> dict[str, object]:
+    allowed = _config_keys(parser)
     values: dict[str, object] = {}
     with open_text(path) as f:
         text = f.read()
@@ -109,24 +109,11 @@ def _read_config(path: str, command: str) -> dict[str, object]:
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str, default: object) -> object:
-    """Flag if given, else config file value, else the built-in default."""
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    config: dict = getattr(args, "_config_values", {})
-    if key in config:
-        return config[key]
-    return default
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    ps = float(_resolve(args, "ps", DEFAULT_PS))
-    seed = int(_resolve(args, "seed", DEFAULT_SEED))
     data = load_dataset(args.data)
     for utt in data:
         if utt.gold_labels is None or utt.gold_intent is None:
@@ -135,7 +122,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     gazetteer = build_gazetteer(data)
     table = gazetteer.token_table()
     delexed, stats = delexicalize_training(
-        data, AugmentConfig(substitution_prob=ps, rng_seed=seed, token_table=table)
+        data,
+        AugmentConfig(substitution_prob=args.ps, rng_seed=args.seed, token_table=table),
     )
     combined = combine(data, delexed)
     backend = LogLinearBackend.train(
@@ -158,12 +146,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    tau = float(_resolve(args, "tau", DEFAULT_TAU))
-    top_k = int(_resolve(args, "k", DEFAULT_TOP_K))
-    ood_raw = _resolve(args, "ood_slots", None)
-    baseline = bool(_resolve(args, "baseline", False))
-    trace_path = _resolve(args, "trace", None)
-    if baseline and trace_path:
+    if args.baseline and args.trace:
         raise ValueError("--trace requires the rewrite engine; drop --baseline")
 
     backend = LogLinearBackend.load(args.model)
@@ -175,10 +158,10 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             f"{args.gazetteer}: placeholder(s) {', '.join(foreign)} were never "
             "seen by the model; retrain or fix the gazetteer"
         )
-    if ood_raw is None:
+    if args.ood_slots is None:
         ood_slots = table.slot_types
     else:
-        ood_slots = tuple(s.strip() for s in str(ood_raw).split(",") if s.strip())
+        ood_slots = tuple(s.strip() for s in args.ood_slots.split(",") if s.strip())
         if not ood_slots:
             raise ValueError(
                 f"--ood-slots names no slot type (has: {', '.join(table.slot_types)})"
@@ -189,19 +172,19 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                 f"--ood-slots: {', '.join(unknown)} not in the gazetteer "
                 f"(has: {', '.join(table.slot_types)})"
             )
-    config = EngineConfig(ood_slots=ood_slots, tau=tau, top_k=top_k)
+    config = EngineConfig(ood_slots=ood_slots, tau=args.tau, top_k=args.k)
 
     # utterances rewritten towards the same template share its parses
     cache = CachingBackend(backend, PARSE_CACHE_SIZE)
     data = load_dataset(args.input)
     # both files are opened before the first parse, so a bad path costs nothing
     with Path(args.output).open("w", encoding="utf-8") as out, (
-        Path(str(trace_path)).open("w", encoding="utf-8") if trace_path else nullcontext()
+        Path(args.trace).open("w", encoding="utf-8") if args.trace else nullcontext()
     ) as trace:
-        if baseline:  # the raw utterances, tagged as one batch
+        if args.baseline:  # the raw utterances, tagged as one batch
             parses = backend.parse_many([utt.tokens for utt in data])
         for n, utt in enumerate(data):
-            if baseline:
+            if args.baseline:
                 parse = parses[n]
                 labels, _ = repair_bio(parse.predicted_labels)
                 row = {
@@ -226,7 +209,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                     # blocks are separated by one newline, none after the last
                     trace.write(("\n" if n else "") + outcome.trace_text())
             out.write(json.dumps(row) + "\n")
-    if baseline:
+    if args.baseline:
         mode = "baseline"
     else:
         info = cache.cache_info()
@@ -236,27 +219,25 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    categories_path = _resolve(args, "categories", None)
     gold = load_dataset(args.gold)
     pred = load_dataset(args.pred)
     report = evaluate(gold, pred)
     categories = None
-    if categories_path:
-        with open_text(str(categories_path)) as f:
+    if args.categories:
+        with open_text(args.categories) as f:
             lines = f.read().splitlines()
         categories = [ln.strip() for ln in lines if ln.strip()]
         if not categories:
-            raise ValueError(f"{categories_path}: no category names")
+            raise ValueError(f"{args.categories}: no category names")
     print(report.format(categories))
     return 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seed = _resolve(args, "seed", None)
-    if seed is None:
+    if args.seed is None:
         raise ValueError("gen requires --seed (or 'seed' in the config file)")
     spec = load_spec(args.spec)
-    train, test = generate_corpus(int(seed), spec)
+    train, test = generate_corpus(args.seed, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path = out_dir / "train.jsonl"
@@ -265,18 +246,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     save_dataset(test, test_path)
     print(f"wrote {len(train)} train utterances -> {train_path}")
     print(f"wrote {len(test)} test utterances -> {test_path}")
-    train_tokens = {tok for utt in train for tok in utt.tokens}
-    open_tokens = [
-        tok
-        for utt in test
-        for tok, lab in zip(utt.tokens, utt.gold_labels or ())
-        if lab.slot_type == spec.open_slot
-    ]
-    if open_tokens:
-        oov = sum(1 for tok in open_tokens if tok not in train_tokens)
+    oov, total = open_slot_oov(train, test, spec.open_slot)
+    if total:
         print(
-            f"{spec.open_slot} slot: {oov}/{len(open_tokens)} test tokens "
-            f"out-of-vocabulary ({oov / len(open_tokens):.1%})"
+            f"{spec.open_slot} slot: {oov}/{total} test tokens "
+            f"out-of-vocabulary ({oov / total:.1%})"
         )
     return 0
 
@@ -288,15 +262,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="iterdelex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     train = sub.add_parser("train", help="fit the built-in parser on labeled data")
     train.add_argument("--data", required=True, help="labeled corpus (conll or jsonl)")
     train.add_argument("--out", required=True, help="output directory for model + gazetteer")
-    train.add_argument("--ps", type=float, default=None,
+    train.add_argument("--ps", type=float, default=DEFAULT_PS,
                        help=f"span substitution probability (default {DEFAULT_PS})")
-    train.add_argument("--seed", type=int, default=None,
+    train.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"substitution RNG seed (default {DEFAULT_SEED})")
-    train.add_argument("--config", default=None, help="key = value defaults file")
+    train.add_argument("--config", help="key = value defaults file")
     train.set_defaults(func=_cmd_train)
 
     infer = sub.add_parser("infer", help="parse utterances with iterative rewriting")
@@ -304,47 +279,49 @@ def build_parser() -> _Parser:
     infer.add_argument("--gazetteer", required=True, help="gazetteer TSV")
     infer.add_argument("--input", required=True, help="utterances to parse")
     infer.add_argument("--output", required=True, help="predictions JSONL")
-    infer.add_argument("--tau", type=float, default=None,
+    infer.add_argument("--tau", type=float, default=DEFAULT_TAU,
                        help=f"entropy threshold for widening (default {DEFAULT_TAU})")
-    infer.add_argument("--k", type=int, default=None,
+    infer.add_argument("--k", type=int, default=DEFAULT_TOP_K,
                        help=f"candidates kept per round (default {DEFAULT_TOP_K})")
-    infer.add_argument("--ood-slots", dest="ood_slots", default=None,
+    infer.add_argument("--ood-slots",
                        help="comma-separated slot types to rewrite (default: all)")
-    infer.add_argument("--baseline", action="store_const", const=True, default=None,
+    infer.add_argument("--baseline", action="store_true",
                        help="parse the raw utterance once, no rewriting")
-    infer.add_argument("--trace", default=None, help="write per-utterance search traces here")
-    infer.add_argument("--config", default=None, help="key = value defaults file")
+    infer.add_argument("--trace", help="write per-utterance search traces here")
+    infer.add_argument("--config", help="key = value defaults file")
     infer.set_defaults(func=_cmd_infer)
 
     ev = sub.add_parser("eval", help="score predictions against gold labels")
     ev.add_argument("--gold", required=True, help="gold-labeled corpus")
     ev.add_argument("--pred", required=True, help="predictions (jsonl or conll)")
-    ev.add_argument("--categories", default=None,
-                    help="file naming slot types to report, one per line")
-    ev.add_argument("--config", default=None, help="key = value defaults file")
+    ev.add_argument("--categories", help="file naming slot types to report, one per line")
+    ev.add_argument("--config", help="key = value defaults file")
     ev.set_defaults(func=_cmd_eval)
 
     gen = sub.add_parser("gen", help="generate a synthetic train/test corpus")
     gen.add_argument("--spec", required=True, help="corpus spec JSON")
-    gen.add_argument("--seed", type=int, default=None, help="generation seed")
+    gen.add_argument("--seed", type=int, help="generation seed")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--config", default=None, help="key = value defaults file")
+    gen.add_argument("--config", help="key = value defaults file")
     gen.set_defaults(func=_cmd_gen)
 
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
     parser = build_parser()
-    try:
+    args = parser.parse_args(argv)
+    if args.config:  # the file's values become defaults: a flag still wins
+        subparser = parser.commands[args.command]
+        subparser.set_defaults(**_read_config(args.config, args.command, subparser))
         args = parser.parse_args(argv)
-        args._config_values = (
-            _read_config(args.config, args.command) if args.config else {}
-        )
+    return args
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        args = _parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

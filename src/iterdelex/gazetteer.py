@@ -142,7 +142,7 @@ class Gazetteer:
     def match_table(self) -> dict[Phrase, str]:
         """Lowercased slot phrase -> its smallest slot type, leaving out context
         and ambiguous phrases; built once per gazetteer, by ``load_gazetteer``
-        (together with ``max_phrase_len``) or else on first use."""
+        (without lowering when the file has no uppercase) or else on first use."""
         return _match_table(
             {slot: {_lower(p) for p in phrases} for slot, phrases in self.slot_phrases.items()},
             {_lower(p) for p in self.context_phrases | self.ambiguous_phrases},
@@ -151,8 +151,7 @@ class Gazetteer:
     @cached_property
     def max_phrase_len(self) -> int:
         """Token count of the longest ``match_table`` key, 0 when it has none;
-        set by ``load_gazetteer`` together with the table, or else computed on
-        first use."""
+        computed once per gazetteer, by ``load_gazetteer`` or else on first use."""
         return max(map(len, self.match_table), default=0)
 
 
@@ -266,7 +265,6 @@ def _read_gazetteer(p: Path) -> Gazetteer:
     context: list[Phrase] = []
     ambiguous: list[Phrase] = []
     groups: dict[str, Phrase] = {}
-    longest = 0  # tracked while reading: a scan afterwards costs more
     with open_text(p) as f:
         text = f.read()
     for lineno, line in enumerate(text.split("\n"), 1):
@@ -285,8 +283,6 @@ def _read_gazetteer(p: Path) -> Gazetteer:
             if not slot:
                 raise ValueError(f"{p}:{lineno}: slot row without a slot type")
             slot_phrases[slot].append(phrase)
-            if len(phrase) > longest:
-                longest = len(phrase)
         elif kind == "context" or kind == "ambiguous":
             if slot:
                 raise ValueError(f"{p}:{lineno}: {kind} row with a name")
@@ -309,15 +305,9 @@ def _read_gazetteer(p: Path) -> Gazetteer:
         gazetteer.token_table()
     except ValueError as exc:
         raise ValueError(f"{p}: {exc}") from None
-    if text == text.lower():  # every phrase is its own key: none is lowered
-        table = _match_table(
+    if text == text.lower():  # every phrase is its own key: none needs lowering
+        gazetteer.__dict__["match_table"] = _match_table(  # the cached_property's slot
             gazetteer.slot_phrases, gazetteer.context_phrases | gazetteer.ambiguous_phrases
         )
-    else:  # the lowering build, here all the same
-        table = gazetteer.match_table
-    # lowering keeps a phrase's length, so the longest slot phrase is a key
-    # unless an excluded phrase is as long as it
-    if longest <= max(map(len, context + ambiguous), default=0):
-        longest = max(map(len, table), default=0)
-    gazetteer.__dict__.update(match_table=table, max_phrase_len=longest)  # cached_property's slots
+    gazetteer.max_phrase_len  # noqa: B018 -- built now, and the match table if not set above
     return gazetteer

@@ -189,22 +189,26 @@ def generate_corpus(seed: int, spec: SyntheticSpec | None = None) -> tuple[Datas
     ]
     train = Dataset.from_utterances(train_utts)
     test = Dataset.from_utterances(test_utts)
+    oov, total = open_slot_oov(train, test, spec.open_slot)
+    if total and oov / total < 0.9:
+        raise ValueError(
+            f"open-slot test tokens are only {oov / total:.1%} out-of-vocabulary; "
+            "need at least 90%"
+        )
+    return train, test
 
+
+def open_slot_oov(train: Dataset, test: Dataset, open_slot: str) -> tuple[int, int]:
+    """(out-of-vocabulary, all) counts of the test tokens labeled ``open_slot``,
+    against the tokens of ``train``."""
     train_tokens = {tok for utt in train for tok in utt.tokens}
     open_tokens = [
         tok
-        for utt in test_utts
+        for utt in test
         for tok, lab in zip(utt.tokens, utt.gold_labels or ())
-        if lab.slot_type == spec.open_slot
+        if lab.slot_type == open_slot
     ]
-    if open_tokens:
-        oov = sum(1 for tok in open_tokens if tok not in train_tokens) / len(open_tokens)
-        if oov < 0.9:
-            raise ValueError(
-                f"open-slot test tokens are only {oov:.1%} out-of-vocabulary; "
-                "need at least 90%"
-            )
-    return train, test
+    return sum(tok not in train_tokens for tok in open_tokens), len(open_tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_loglinear import assert_same_parse
 
 from iterdelex import cli
-from iterdelex.cli import _CONFIG_KEYS, build_parser, main
+from iterdelex.cli import _config_keys, _parse_args, _parse_bool, build_parser, main
 from iterdelex.corpus import SlotLabel, load_dataset, repair_bio
 from iterdelex.engine import EngineConfig, iterative_parse
 from iterdelex.gazetteer import load_gazetteer
@@ -588,7 +588,41 @@ class TestEval:
                      "--pred", str(predictions)]) == 1
 
 
+def config_keys():
+    """Each subcommand's config keys, with their converters, from the parser."""
+    return {name: _config_keys(command) for name, command in build_parser().commands.items()}
+
+
 class TestConfigFiles:
+    # two values each converter reads, as a config file spells them
+    SAMPLES = {float: ("0.25", "0.5"), int: ("3", "5"), str: ("a.txt", "b.txt"),
+               _parse_bool: ("yes", "no")}
+
+    @pytest.mark.parametrize("name,key", [
+        (name, key) for name, keys in config_keys().items() for key in sorted(keys)
+    ])
+    def test_config_line_parses_as_its_flag(self, tmp_path, name, key):
+        """A config line sets what its flag sets, and a flag given with the
+        config wins; a flag that takes no value is set by ``yes``."""
+        command = build_parser().commands[name]
+        required = [arg for action in command._actions if action.required
+                    for arg in (action.option_strings[0], "x")]
+        option = "--" + key.replace("_", "-")
+        action = command._option_string_actions[option]
+        assert action.dest == key
+        value, other = self.SAMPLES[_config_keys(command)[key]]
+        flag = [option] + ([] if action.nargs == 0 else [value])
+        cfg = tmp_path / "c.cfg"
+
+        def parsed(lines, *argv):
+            cfg.write_text(lines)
+            return getattr(_parse_args([name, *required, *argv, "--config", str(cfg)]), key)
+
+        from_flag = getattr(_parse_args([name, *required, *flag]), key)
+        assert from_flag != getattr(_parse_args([name, *required]), key)
+        assert parsed(f"{key} = {value}\n") == from_flag
+        assert parsed(f"{key} = {other}\n", *flag) == from_flag
+
     def test_values_used_as_defaults(self, workspace, tmp_path):
         cfg = tmp_path / "infer.cfg"
         cfg.write_text("# engine settings\nbaseline = yes\n")
@@ -647,7 +681,7 @@ class TestConfigFiles:
         for line in block.splitlines():
             command, keys = re.match(r"- `(\w+)`: (.*)$", line).groups()
             listed[command] = sorted(re.findall(r"`(\w+)`", keys))
-        assert listed == {command: sorted(keys) for command, keys in _CONFIG_KEYS.items()}
+        assert listed == {command: sorted(keys) for command, keys in config_keys().items()}
 
     def test_random_config_lines(self, workspace, tmp_path, monkeypatch):
         """Any ``key = value`` lines in an infer config exit 0, 1 or 2, never
@@ -655,7 +689,7 @@ class TestConfigFiles:
         monkeypatch.chdir(tmp_path)  # a trace path from the config lands here
         utterance = tmp_path / "utterance.jsonl"
         utterance.write_text(json.dumps({"tokens": ["text", "bob", "saying", "hi"]}) + "\n")
-        keys = st.sampled_from(sorted(_CONFIG_KEYS["infer"]) + ["model", "ood-slots", ""])
+        keys = st.sampled_from(sorted(config_keys()["infer"]) + ["model", "ood-slots", ""])
         values = st.sampled_from(
             ["0", "-1", "3", "0.1", "nan", "inf", "yes", "off", "message", "contact,song", "x"]
         ) | st.text(  # a surrogate cannot be written to a UTF-8 file
@@ -756,7 +790,7 @@ class TestReadme:
     def test_every_flag_named_under_a_subcommand_exists(self):
         flags = readme_flags()
         assert ("infer", "--k") in flags and ("eval", "--categories") in flags
-        subparsers = build_parser()._subparsers._group_actions[0].choices
+        subparsers = build_parser().commands
         unknown = sorted((cmd, flag) for cmd, flag in flags
                          if flag not in subparsers[cmd]._option_string_actions)
         assert unknown == []
