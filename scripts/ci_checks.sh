@@ -22,9 +22,9 @@ trap 'rm -rf "$work"' EXIT
 
 echo "== the iterdelex CLI end to end"
 # two trainings in two processes must write the same bytes, as must two
-# engine infer calls and two baseline ones, and the same settings given in a
-# config file instead of flags; a row appended to the gazetteer must take
-# effect without retraining
+# engine infer calls and two baseline ones, the same settings given in a
+# config file instead of flags, and the same corpus given as CoNLL instead of
+# JSONL; a row appended to the gazetteer must take effect without retraining
 (
   cd "$work"
   python -c "from iterdelex.synth import default_spec, save_spec; save_spec(default_spec(), 'spec.json')"
@@ -55,6 +55,20 @@ echo "== the iterdelex CLI end to end"
   done
   cmp run/pred1.jsonl run/engine-config.jsonl
   cmp run/base1.jsonl run/baseline-config.jsonl
+  # the same corpus written as CoNLL must train the same model and, as
+  # input, give the same rows
+  python -c "
+from iterdelex.corpus import load_dataset, save_dataset
+for split in ('train', 'test'):
+    save_dataset(load_dataset(f'data/{split}.jsonl'), f'data/{split}.conll')
+"
+  "${iterdelex[@]}" train --data data/train.conll --out run-conll/
+  cmp run/model.json run-conll/model.json
+  cmp run/gazetteer.tsv run-conll/gazetteer.tsv
+  "${iterdelex[@]}" infer --model run-conll/model.json --gazetteer run-conll/gazetteer.tsv \
+                          --input data/test.conll --output run/pred-conll.jsonl \
+                          --ood-slots message --tau 0.1
+  cmp run/pred1.jsonl run/pred-conll.jsonl
   printf 'slot\tcontact\tZarqo Vell\n' >> run/gazetteer.tsv
   echo '{"tokens": ["call", "zarqo", "vell"]}' > swap.jsonl
   "${iterdelex[@]}" infer --model run/model.json --gazetteer run/gazetteer.tsv \

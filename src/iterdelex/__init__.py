@@ -10,7 +10,7 @@ needs to understand placeholder tokens.
 
 from iterdelex.corpus import Dataset, SlotLabel, Utterance, load_dataset, save_dataset
 from iterdelex.gazetteer import Gazetteer, build_gazetteer, build_token_table
-from iterdelex.augment import AugmentConfig, combine, delexicalize_training
+from iterdelex.augment import AugmentConfig, delexicalize_training
 from iterdelex.backend import Backend, ParseResult, ScriptedBackend
 from iterdelex.loglinear import LogLinearBackend, TrainingParams
 from iterdelex.seed import Candidate, Span, find_matches, seed_candidates
@@ -39,7 +39,6 @@ __all__ = [
     "Utterance",
     "build_gazetteer",
     "build_token_table",
-    "combine",
     "default_spec",
     "delexicalize_training",
     "evaluate",

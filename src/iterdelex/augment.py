@@ -7,7 +7,8 @@ labels to a single Begin tag on the placeholder. The replacement is
 ``Candidate.substitute``, the one the engine seeds with, and the labels are
 read off the alignment it returns. Utterances where nothing was replaced
 are dropped (they would duplicate the source corpus). The parser is then
-trained on the concatenation of the original and the substituted corpora.
+trained on the original utterances followed by the substituted ones, which
+keep their sources' intents.
 """
 
 from __future__ import annotations
@@ -79,20 +80,3 @@ def delexicalize_training(train: Dataset, cfg: AugmentConfig) -> tuple[Dataset, 
             replaced_total += len(chosen)
             out.append(_substitute(utt, chosen, cfg.token_table))
     return Dataset.from_utterances(out), AugmentStats(total, replaced_total)
-
-
-def combine(train: Dataset, delexed: Dataset) -> Dataset:
-    """Concatenate the original and substituted corpora.
-
-    The label inventory is the union of both; the intent inventory must not
-    grow (substitution never invents intents).
-    """
-    extra_intents = set(delexed.intent_set) - set(train.intent_set)
-    if extra_intents:
-        raise ValueError(f"substituted corpus introduces new intents: {sorted(extra_intents)}")
-    labels = tuple(sorted(set(train.label_set) | set(delexed.label_set)))
-    return Dataset(
-        utterances=train.utterances + delexed.utterances,
-        label_set=labels,
-        intent_set=train.intent_set,
-    )

@@ -27,9 +27,9 @@ from typing import Callable, NoReturn, Optional
 import scipy.optimize  # noqa: F401
 import scipy.sparse  # noqa: F401
 
-from iterdelex.augment import AugmentConfig, combine, delexicalize_training
+from iterdelex.augment import AugmentConfig, delexicalize_training
 from iterdelex.backend import CachingBackend
-from iterdelex.corpus import load_dataset, open_text, repair_bio, save_dataset
+from iterdelex.corpus import Dataset, is_jsonl, load_dataset, open_text, repair_bio, save_dataset
 from iterdelex.engine import (
     DEFAULT_TAU,
     DEFAULT_TOP_K,
@@ -125,9 +125,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         data,
         AugmentConfig(substitution_prob=args.ps, rng_seed=args.seed, token_table=table),
     )
-    combined = combine(data, delexed)
     backend = LogLinearBackend.train(
-        combined, TrainingParams(special_tokens=table.surfaces)
+        Dataset(data.utterances + delexed.utterances),
+        TrainingParams(special_tokens=table.surfaces),
     )
 
     out_dir = Path(args.out)
@@ -148,6 +148,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_infer(args: argparse.Namespace) -> int:
     if args.baseline and args.trace:
         raise ValueError("--trace requires the rewrite engine; drop --baseline")
+    if not is_jsonl(args.output):
+        raise ValueError(f"--output {args.output}: rows are JSONL; name it *.jsonl or *.json")
 
     backend = LogLinearBackend.load(args.model)
     gazetteer = load_gazetteer(args.gazetteer)
@@ -265,7 +267,7 @@ def build_parser() -> _Parser:
     parser.commands = sub.choices
 
     train = sub.add_parser("train", help="fit the built-in parser on labeled data")
-    train.add_argument("--data", required=True, help="labeled corpus (conll or jsonl)")
+    train.add_argument("--data", required=True, help="labeled corpus (jsonl or conll, by name)")
     train.add_argument("--out", required=True, help="output directory for model + gazetteer")
     train.add_argument("--ps", type=float, default=DEFAULT_PS,
                        help=f"span substitution probability (default {DEFAULT_PS})")
@@ -277,8 +279,8 @@ def build_parser() -> _Parser:
     infer = sub.add_parser("infer", help="parse utterances with iterative rewriting")
     infer.add_argument("--model", required=True, help="trained model file")
     infer.add_argument("--gazetteer", required=True, help="gazetteer TSV")
-    infer.add_argument("--input", required=True, help="utterances to parse")
-    infer.add_argument("--output", required=True, help="predictions JSONL")
+    infer.add_argument("--input", required=True, help="utterances (jsonl or conll, by name)")
+    infer.add_argument("--output", required=True, help="predictions JSONL (*.jsonl or *.json)")
     infer.add_argument("--tau", type=float, default=DEFAULT_TAU,
                        help=f"entropy threshold for widening (default {DEFAULT_TAU})")
     infer.add_argument("--k", type=int, default=DEFAULT_TOP_K,
@@ -292,8 +294,8 @@ def build_parser() -> _Parser:
     infer.set_defaults(func=_cmd_infer)
 
     ev = sub.add_parser("eval", help="score predictions against gold labels")
-    ev.add_argument("--gold", required=True, help="gold-labeled corpus")
-    ev.add_argument("--pred", required=True, help="predictions (jsonl or conll)")
+    ev.add_argument("--gold", required=True, help="gold-labeled corpus (jsonl or conll, by name)")
+    ev.add_argument("--pred", required=True, help="predictions (jsonl or conll, by name)")
     ev.add_argument("--categories", help="file naming slot types to report, one per line")
     ev.add_argument("--config", help="key = value defaults file")
     ev.set_defaults(func=_cmd_eval)

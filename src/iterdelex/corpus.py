@@ -1,14 +1,15 @@
 """Utterance/label data model and dataset I/O.
 
-Two on-disk formats are supported:
+Two on-disk formats are supported, chosen by the file name (``is_jsonl``):
 
-* CoNLL-style: one ``token<TAB>label`` pair per line, a blank line ends an
-  utterance, and an optional ``#intent=<name>`` line precedes each block.
-* JSONL: one object per line with ``tokens`` (array of strings), plus
-  optional ``labels`` (BIO strings) and ``intent``.
+* JSONL (``.jsonl``, ``.json``): one object per line with ``tokens`` (array
+  of strings), plus optional ``labels`` (BIO strings) and ``intent``.
+* CoNLL-style (any other name): one ``token<TAB>label`` pair per line, a
+  blank line ends an utterance, and an optional ``#intent=<name>`` line
+  precedes each block.
 
-Labels use the BIO scheme. Loaders repair orphan Inside labels (an ``I-x``
-not preceded by ``B-x``/``I-x`` of the same type) to Begin and report the
+Loaders lowercase every token and repair orphan Inside labels (an ``I-x``
+not preceded by ``B-x``/``I-x`` of the same type) to Begin, reporting the
 repair count through the module logger; gold data kept in memory is always
 canonical BIO.
 """
@@ -19,6 +20,7 @@ import json
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
@@ -108,18 +110,13 @@ class Utterance:
                 f"label count {len(self.gold_labels)} != token count {len(self.tokens)}"
             )
 
-    @property
-    def labeled(self) -> bool:
-        return self.gold_labels is not None
-
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable collection of utterances plus the label/intent inventories."""
+    """Immutable collection of utterances. Its label and intent inventories
+    are read off the utterances on first use, once per dataset."""
 
     utterances: tuple[Utterance, ...]
-    label_set: tuple[SlotLabel, ...]
-    intent_set: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -128,26 +125,25 @@ class Dataset:
         return iter(self.utterances)
 
     @classmethod
-    def from_utterances(
-        cls, utterances: Iterable[Utterance], labels: Optional[Iterable[SlotLabel]] = None
-    ) -> Dataset:
-        """Build a Dataset, deriving sorted label and intent inventories. A
-        caller that already holds every distinct gold label of ``utterances``
-        passes them as ``labels``, and the gold labels are not read again."""
-        utts = tuple(utterances)
-        label_set = {SlotLabel.outside()}
-        if labels is None:
-            for utt in utts:
-                label_set.update(utt.gold_labels or ())
-        else:
-            label_set.update(labels)
-        intents = {utt.gold_intent for utt in utts if utt.gold_intent is not None}
-        return cls(utts, tuple(sorted(label_set)), tuple(sorted(intents)))
+    def from_utterances(cls, utterances: Iterable[Utterance]) -> Dataset:
+        return cls(tuple(utterances))
+
+    @cached_property
+    def label_set(self) -> tuple[SlotLabel, ...]:
+        """Outside and every distinct gold label, sorted."""
+        labels = {SlotLabel.outside()}
+        for utt in self.utterances:
+            labels.update(utt.gold_labels or ())
+        return tuple(sorted(labels))
+
+    @cached_property
+    def intent_set(self) -> tuple[str, ...]:
+        """Every distinct gold intent, sorted."""
+        return tuple(sorted({utt.gold_intent for utt in self.utterances} - {None}))
 
     @property
     def slot_types(self) -> tuple[str, ...]:
-        seen = sorted({lab.slot_type for lab in self.label_set if not lab.is_outside})
-        return tuple(seen)
+        return tuple(sorted({lab.slot_type for lab in self.label_set if not lab.is_outside}))
 
 
 def repair_bio(labels: Sequence[SlotLabel]) -> tuple[tuple[SlotLabel, ...], int]:
@@ -186,7 +182,6 @@ def bio_spans(labels: Sequence[SlotLabel]) -> list[tuple[int, int, str]]:
 
 @dataclass
 class _LoaderState:
-    lowercase: bool
     repairs: int = 0
     utterances: list[Utterance] = field(default_factory=list)
     labels: dict[str, SlotLabel] = field(default_factory=dict)  # by their text
@@ -209,14 +204,13 @@ class _LoaderState:
         intent: Optional[str],
         where: str,
     ) -> None:
-        """Append one utterance that starts at ``where`` (file and line). A token
-        that is empty or holds whitespace would not survive a gazetteer row
-        or a re-split, so it is a ``ValueError``."""
+        """Append one utterance that starts at ``where`` (file and line), its
+        tokens lowercased. A token that is empty or holds whitespace would
+        not survive a gazetteer row or a re-split, so it is a ``ValueError``."""
         if " ".join(tokens).split() != tokens:
             bad = next(t for t in tokens if t.split() != [t])
             raise ValueError(f"{where}: token {bad!r} is empty or contains whitespace")
-        if self.lowercase:
-            tokens = [t.lower() for t in tokens]
+        tokens = [t.lower() for t in tokens]
         fixed: Optional[tuple[SlotLabel, ...]] = None
         if labels is not None:
             fixed, n = repair_bio(labels)
@@ -296,47 +290,33 @@ def _load_jsonl(path: Path, state: _LoaderState) -> None:
             state.add(tokens, labels, intent, f"{path}:{lineno}")
 
 
-def load_dataset(path: str | Path, fmt: str = "auto", *, lowercase: bool = True) -> Dataset:
-    """Load a Dataset from ``path`` in the given format ("conll" or "jsonl").
+def is_jsonl(path: str | Path) -> bool:
+    """Whether ``path`` names a JSONL file; any other name is CoNLL."""
+    return Path(path).suffix in (".jsonl", ".json")
 
-    ``fmt="auto"`` picks jsonl for ``.jsonl``/``.json`` suffixes, conll
-    otherwise. Orphan Inside labels are repaired to Begin; the repair count
-    is logged as a warning.
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Load a Dataset from ``path``, in the format its name gives (``is_jsonl``).
+
+    Orphan Inside labels are repaired to Begin; the repair count is logged
+    as a warning.
     """
     p = Path(path)
-    if fmt == "auto":
-        fmt = "jsonl" if p.suffix in (".jsonl", ".json") else "conll"
-    if fmt not in ("conll", "jsonl"):
-        raise ValueError(f"unknown dataset format: {fmt!r}")
-    state = _LoaderState(lowercase=lowercase)
-    if fmt == "conll":
-        _load_conll(p, state)
-    else:
-        _load_jsonl(p, state)
+    state = _LoaderState()
+    (_load_jsonl if is_jsonl(p) else _load_conll)(p, state)
     if not state.utterances:
         raise ValueError(f"{p}: no utterances")
-    if state.repairs:  # a repair may add a Begin label and remove an Inside one
+    if state.repairs:
         log.warning("%s: repaired %d orphan Inside label(s)", p, state.repairs)
-        return Dataset.from_utterances(state.utterances)
-    return Dataset.from_utterances(state.utterances, state.labels.values())
+    return Dataset(tuple(state.utterances))
 
 
-def save_dataset(dataset: Dataset, path: str | Path, fmt: str = "auto") -> None:
-    """Write ``dataset`` to ``path``; round-trips exactly through load_dataset."""
-    p = Path(path)
-    if fmt == "auto":
-        fmt = "jsonl" if p.suffix in (".jsonl", ".json") else "conll"
-    if fmt == "conll":
-        with p.open("w", encoding="utf-8") as f:
-            for utt in dataset:
-                if utt.gold_intent is not None:
-                    f.write(f"#intent={utt.gold_intent}\n")
-                labels = utt.gold_labels or tuple(SlotLabel.outside() for _ in utt.tokens)
-                for tok, lab in zip(utt.tokens, labels):
-                    f.write(f"{tok}\t{lab}\n")
-                f.write("\n")
-    elif fmt == "jsonl":
-        with p.open("w", encoding="utf-8") as f:
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write ``dataset`` to ``path`` in the format its name gives
+    (``is_jsonl``); it round-trips through load_dataset, except that CoNLL
+    writes an unlabeled utterance as all Outside."""
+    with Path(path).open("w", encoding="utf-8") as f:
+        if is_jsonl(path):
             for utt in dataset:
                 record: dict = {"tokens": list(utt.tokens)}
                 if utt.gold_labels is not None:
@@ -344,5 +324,11 @@ def save_dataset(dataset: Dataset, path: str | Path, fmt: str = "auto") -> None:
                 if utt.gold_intent is not None:
                     record["intent"] = utt.gold_intent
                 f.write(json.dumps(record) + "\n")
-    else:
-        raise ValueError(f"unknown dataset format: {fmt!r}")
+        else:
+            for utt in dataset:
+                if utt.gold_intent is not None:
+                    f.write(f"#intent={utt.gold_intent}\n")
+                labels = utt.gold_labels or tuple(SlotLabel.outside() for _ in utt.tokens)
+                for tok, lab in zip(utt.tokens, labels):
+                    f.write(f"{tok}\t{lab}\n")
+                f.write("\n")

@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 
 Phrase = tuple[str, ...]
 
-DEFAULT_CONTEXT_NGRAM_CAP = 4
+CONTEXT_NGRAM_CAP = 4  # longest n-gram build_gazetteer records as context
 
 
 class TokenTable:
@@ -175,14 +175,12 @@ def _match_table(
 def build_gazetteer(
     train: Dataset,
     shared_groups: Optional[Mapping[str, Sequence[str]]] = None,
-    *,
-    context_ngram_cap: int = DEFAULT_CONTEXT_NGRAM_CAP,
 ) -> Gazetteer:
     """Collect slot, context and ambiguous phrase sets from gold labels.
 
     A phrase is ambiguous when its slot types map to two or more placeholder
     surfaces, that is when they are not members of one shared group. Context
-    phrases are all n-grams (up to ``context_ngram_cap`` tokens) inside
+    phrases are all n-grams (up to ``CONTEXT_NGRAM_CAP`` tokens) inside
     maximal all-Outside runs. Bad shared groups, and a placeholder surface
     that is also a token of ``train``, are a ``ValueError``.
     """
@@ -203,7 +201,7 @@ def build_gazetteer(
                 continue
             if run_start is not None:
                 run = utt.tokens[run_start:i]
-                for n in range(1, min(len(run), context_ngram_cap) + 1):
+                for n in range(1, min(len(run), CONTEXT_NGRAM_CAP) + 1):
                     for j in range(len(run) - n + 1):
                         context.add(run[j:j + n])
                 run_start = None

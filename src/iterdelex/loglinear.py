@@ -282,7 +282,6 @@ class LogLinearBackend(Backend):
         slot_weights: np.ndarray,
         intent_features: Sequence[str],
         intent_weights: np.ndarray,
-        special_tokens: Sequence[str],
         params: TrainingParams,
     ):
         self.label_set = tuple(label_set)
@@ -292,7 +291,7 @@ class LogLinearBackend(Backend):
         self.slot_weights = np.asarray(slot_weights, dtype=float)
         self.intent_features = tuple(intent_features)
         self.intent_weights = np.asarray(intent_weights, dtype=float)
-        self.special_tokens = frozenset(special_tokens)
+        self.special_tokens = frozenset(params.special_tokens)
         self.params = params
         self._token_ids, templates, bags = _id_features(self.vocab, self.special_tokens)
         # a feature the model never saw has column len(slot_features): a zero row
@@ -379,7 +378,6 @@ class LogLinearBackend(Backend):
             slot_weights=slot_weights,
             intent_features=intent_features,
             intent_weights=intent_weights,
-            special_tokens=params.special_tokens,
             params=params,
         )
 
@@ -495,6 +493,5 @@ class LogLinearBackend(Backend):
             intent_weights=_weight_matrix(
                 path, payload, "intent_weights", (len(intent_features), len(intents))
             ),
-            special_tokens=payload["special_tokens"],
             params=params,
         )

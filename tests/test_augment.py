@@ -7,7 +7,6 @@ from iterdelex.augment import (
     AugmentConfig,
     AugmentStats,
     _substitute,
-    combine,
     delexicalize_training,
 )
 from iterdelex.corpus import Dataset, SlotLabel, Utterance, bio_spans
@@ -123,19 +122,3 @@ class TestDelexicalizeTraining:
 
     def test_stats_fraction_empty(self):
         assert AugmentStats(0, 0).replaced_fraction == 0.0
-
-
-class TestCombine:
-    def test_concatenation_and_label_union(self):
-        train = Dataset.from_utterances([utt("call john", "O B-contact", "call")])
-        delexed = Dataset.from_utterances([utt("call <contact>", "O B-contact", "call")])
-        merged = combine(train, delexed)
-        assert len(merged) == 2
-        assert set(merged.label_set) == set(train.label_set) | set(delexed.label_set)
-        assert merged.intent_set == train.intent_set
-
-    def test_new_intents_rejected(self):
-        train = Dataset.from_utterances([utt("call john", "O B-contact", "call")])
-        rogue = Dataset.from_utterances([utt("call <contact>", "O B-contact", "hangup")])
-        with pytest.raises(ValueError, match="new intents"):
-            combine(train, rogue)

@@ -331,6 +331,22 @@ class TestInfer:
         assert code == 1
         assert "drop --baseline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,extra", [
+        ("pred.txt", ["--baseline"]), ("pred.conll", []), ("pred", []), ("pred.JSONL", []),
+    ])
+    def test_output_not_named_jsonl_rejected(self, workspace, tmp_path, capsys, name, extra):
+        """Rows are JSONL, and ``eval`` would read any other name as CoNLL."""
+        out = tmp_path / name
+        assert main(infer_args(workspace, out, extra)) == 1
+        assert f"--output {out}: rows are JSONL" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_named_json_evaluates(self, workspace, tmp_path, capsys):
+        out = tmp_path / "pred.json"
+        assert main(infer_args(workspace, out, ["--baseline"])) == 0
+        assert main(["eval", "--gold", str(workspace["test"]), "--pred", str(out)]) == 0
+        assert "intent accuracy" in capsys.readouterr().out
+
     def test_malformed_record_rejected(self, workspace, tmp_path, capsys):
         data = tmp_path / "bad.jsonl"
         data.write_text('{"tokens": ["call", null]}\n')

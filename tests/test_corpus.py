@@ -14,6 +14,7 @@ from iterdelex.corpus import (
     SlotLabel,
     Utterance,
     bio_spans,
+    is_jsonl,
     load_dataset,
     repair_bio,
     save_dataset,
@@ -76,10 +77,6 @@ class TestUtterance:
         with pytest.raises(ValueError):
             Utterance(("a", "b"), labels("O"))
 
-    def test_labeled_property(self):
-        assert not Utterance(("a",)).labeled
-        assert Utterance(("a",), labels("O")).labeled
-
 
 class TestDataset:
     def test_from_utterances_collects_inventories(self):
@@ -98,6 +95,24 @@ class TestDataset:
         data = Dataset.from_utterances([Utterance(("hi",))])
         assert data.label_set == (L("O"),)
         assert data.slot_types == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.lists(st.sampled_from(("O", "B-x", "I-x", "B-y", "I-z")), min_size=1, max_size=4),
+        st.booleans(),
+        st.none() | st.sampled_from(("call", "ask", "play")),
+    ), max_size=6))
+    def test_inventories_are_a_sorted_scan(self, rows):
+        """For labeled, unlabeled and intent-less utterances alike, the label
+        inventory is Outside plus every gold label and the intent inventory
+        every gold intent, each sorted."""
+        utts = [Utterance(("w",) * len(tags), labels(*tags) if labeled else None, intent)
+                for tags, labeled, intent in rows]
+        data = Dataset.from_utterances(utts)
+        gold = {lab for utt in utts if utt.gold_labels for lab in utt.gold_labels}
+        assert data.label_set == tuple(sorted(gold | {L("O")}))
+        assert data.intent_set == tuple(sorted({u.gold_intent for u in utts} - {None}))
+        assert data.utterances == tuple(utts)
 
 
 class TestBioHelpers:
@@ -148,7 +163,10 @@ class TestIO:
         path = tmp_path / f"data{suffix}"
         save_dataset(SAMPLE, path)
         loaded = load_dataset(path)
+        # the inventories are read off the utterances when first asked for
+        assert "label_set" not in vars(loaded) and "intent_set" not in vars(loaded)
         assert loaded.label_set == SAMPLE.label_set
+        assert loaded.intent_set == ("ask_time", "call")
         assert [u.tokens for u in loaded] == [u.tokens for u in SAMPLE]
         assert [u.gold_intent for u in loaded] == ["call", "ask_time", None]
         # conll cannot represent "unlabeled": missing labels come back as all-O
@@ -158,19 +176,26 @@ class TestIO:
             assert loaded.utterances[2].gold_labels == labels("O", "O")
 
     def test_auto_format_by_suffix(self, tmp_path):
-        path = tmp_path / "data.jsonl"
-        save_dataset(SAMPLE, path)
-        with path.open() as f:
-            first = f.readline()
-        assert first.startswith("{")
+        """A name ending in .jsonl or .json is JSONL, any other CoNLL, for
+        saving and loading alike."""
+        save_dataset(SAMPLE, tmp_path / "ref.jsonl")
+        save_dataset(SAMPLE, tmp_path / "ref.conll")
+        for name, jsonl in [("d.jsonl", True), ("d.json", True), ("d.conll", False),
+                            ("d.txt", False), ("d", False), ("d.JSONL", False),
+                            ("d.jsonl.bak", False)]:
+            assert is_jsonl(name) is jsonl
+            path = tmp_path / name
+            save_dataset(SAMPLE, path)
+            reference = tmp_path / ("ref.jsonl" if jsonl else "ref.conll")
+            assert path.read_bytes() == reference.read_bytes()
+            assert load_dataset(path) == load_dataset(reference)
+        assert (tmp_path / "ref.jsonl").read_text().startswith("{")
 
     def test_lowercasing_default(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"tokens": ["Call", "MOM"]}\n')
         data = load_dataset(path)
         assert data.utterances[0].tokens == ("call", "mom")
-        kept = load_dataset(path, lowercase=False)
-        assert kept.utterances[0].tokens == ("Call", "MOM")
 
     def test_jsonl_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -316,12 +341,6 @@ class TestIO:
         path.write_text("")
         with pytest.raises(ValueError, match="no utterances"):
             load_dataset(path)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "data.jsonl"
-        save_dataset(SAMPLE, path)
-        with pytest.raises(ValueError, match="unknown dataset format"):
-            load_dataset(path, fmt="tsv")
 
     def test_loader_repairs_orphan_insides(self, tmp_path, caplog):
         path = tmp_path / "data.jsonl"

@@ -117,10 +117,6 @@ class TestBuildGazetteer:
         # cap: the 7-token all-Outside utterance contributes nothing longer than 4
         assert all(len(p) <= 4 for p in gaz.context_phrases)
 
-    def test_context_cap_configurable(self):
-        gaz = build_gazetteer(TRAIN, context_ngram_cap=2)
-        assert all(len(p) <= 2 for p in gaz.context_phrases)
-
     def test_cross_type_phrase_marked_ambiguous(self):
         gaz = build_gazetteer(TRAIN)
         assert ("yesterday",) in gaz.ambiguous_phrases

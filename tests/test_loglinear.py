@@ -78,11 +78,7 @@ class TestTraining:
             LogLinearBackend.train(flat)
 
     def test_requires_gold_annotations(self):
-        data = Dataset(
-            utterances=(Utterance(("hi",)),),
-            label_set=labels("O", "B-x"),
-            intent_set=("greet",),
-        )
+        data = Dataset.from_utterances([utt("hi bob", "O B-x", "greet"), Utterance(("hi",))])
         with pytest.raises(ValueError, match="gold labels and intents"):
             LogLinearBackend.train(data)
 
