@@ -22,9 +22,12 @@ trap 'rm -rf "$work"' EXIT
 
 echo "== the iterdelex CLI end to end"
 # two trainings in two processes must write the same bytes, as must two
-# engine infer calls and two baseline ones, the same settings given in a
-# config file instead of flags, and the same corpus given as CoNLL instead of
-# JSONL; a row appended to the gazetteer must take effect without retraining
+# engine infer calls (rows and --trace files: unless PYTHONHASHSEED is set,
+# the two processes hash strings with different seeds, so this pins the
+# order of the evaluation log) and two baseline ones, the same settings
+# given in a config file instead of flags, and the same corpus given as
+# CoNLL instead of JSONL; a row appended to the gazetteer must take effect
+# without retraining
 (
   cd "$work"
   python -c "from iterdelex.synth import default_spec, save_spec; save_spec(default_spec(), 'spec.json')"
@@ -36,9 +39,10 @@ echo "== the iterdelex CLI end to end"
   for i in 1 2; do
     "${iterdelex[@]}" infer --model run/model.json --gazetteer run/gazetteer.tsv \
                             --input data/test.jsonl --output run/pred$i.jsonl \
-                            --ood-slots message --tau 0.1
+                            --ood-slots message --tau 0.1 --trace run/trace$i.txt
   done
   cmp run/pred1.jsonl run/pred2.jsonl
+  cmp run/trace1.txt run/trace2.txt
   "${iterdelex[@]}" eval --gold data/test.jsonl --pred run/pred1.jsonl
   for i in 1 2; do
     "${iterdelex[@]}" infer --model run/model.json --gazetteer run/gazetteer.tsv \

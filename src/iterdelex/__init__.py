@@ -8,12 +8,12 @@ the phrase gazetteer and the placeholder-augmented training set the parser
 needs to understand placeholder tokens.
 """
 
-from iterdelex.corpus import Dataset, SlotLabel, Utterance, load_dataset, save_dataset
+from iterdelex.corpus import Dataset, SlotLabel, Span, Utterance, load_dataset, save_dataset
 from iterdelex.gazetteer import Gazetteer, build_gazetteer, build_token_table
 from iterdelex.augment import AugmentConfig, delexicalize_training
 from iterdelex.backend import Backend, ParseResult, ScriptedBackend
 from iterdelex.loglinear import LogLinearBackend, TrainingParams
-from iterdelex.seed import Candidate, Span, find_matches, seed_candidates
+from iterdelex.seed import Candidate, find_matches, seed_candidates
 from iterdelex.engine import EngineConfig, InferenceOutcome, iterative_parse, project_labels, score
 from iterdelex.metrics import EvalReport, evaluate
 from iterdelex.synth import SyntheticSpec, default_spec, generate_corpus

@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from iterdelex.corpus import Dataset, SlotLabel, Utterance, bio_spans
+from iterdelex.corpus import Dataset, SlotLabel, Span, Utterance, bio_spans
 from iterdelex.gazetteer import TokenTable
-from iterdelex.seed import Span, original_candidate
+from iterdelex.seed import original_candidate
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,10 @@ class AugmentStats:
         return self.replaced_spans / self.total_spans if self.total_spans else 0.0
 
 
-def _substitute(
-    utt: Utterance, spans: list[tuple[int, int, str]], token_table: TokenTable
-) -> Utterance:
+def _substitute(utt: Utterance, spans: list[Span], token_table: TokenTable) -> Utterance:
     """``utt`` with each gold span of ``spans`` replaced by its placeholder,
     labelled Begin; every other token keeps its gold label."""
-    cand = original_candidate(utt.tokens).substitute(
-        [Span(*span) for span in spans], token_table, "augment"
-    )
+    cand = original_candidate(utt.tokens).substitute(spans, token_table, "augment")
     labels = tuple(
         SlotLabel.begin(entry.slot_type) if entry.slot_type else utt.gold_labels[entry.start]
         for entry in cand.alignment

@@ -8,10 +8,11 @@ Two on-disk formats are supported, chosen by the file name (``is_jsonl``):
   blank line ends an utterance, and an optional ``#intent=<name>`` line
   precedes each block.
 
-Loaders lowercase every token and repair orphan Inside labels (an ``I-x``
-not preceded by ``B-x``/``I-x`` of the same type) to Begin, reporting the
-repair count through the module logger; gold data kept in memory is always
-canonical BIO.
+Loaders lowercase every token, strip intent names, and repair orphan Inside
+labels (an ``I-x`` not preceded by ``B-x``/``I-x`` of the same type) to
+Begin, reporting the repair count through the module logger; gold data kept
+in memory is always canonical BIO. ``bio_spans`` decodes labels to ``Span``s,
+the span type of gazetteer matches and candidate alignments too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -94,6 +95,16 @@ class SlotLabel:
         return self.kind == OUTSIDE
 
 
+class Span(NamedTuple):
+    """Half-open token range [start, end) carrying a slot type, empty for a
+    natural token. A plain tuple: ``len(span)`` is 3, the width is
+    ``end - start``, and hashing and ordering are the tuple's."""
+
+    start: int
+    end: int
+    slot_type: str
+
+
 @dataclass(frozen=True)
 class Utterance:
     """A token sequence with optional gold BIO labels and gold intent."""
@@ -160,23 +171,23 @@ def repair_bio(labels: Sequence[SlotLabel]) -> tuple[tuple[SlotLabel, ...], int]
     return tuple(out), repairs
 
 
-def bio_spans(labels: Sequence[SlotLabel]) -> list[tuple[int, int, str]]:
-    """Extract (start, end, slot_type) spans, end exclusive, repairing orphans."""
-    spans: list[tuple[int, int, str]] = []
+def bio_spans(labels: Sequence[SlotLabel]) -> list[Span]:
+    """Extract the labelled spans, end exclusive, repairing orphans."""
+    spans: list[Span] = []
     start = -1
     cur = ""
     for i, lab in enumerate(labels):
         if lab.kind == BEGIN or (lab.kind == INSIDE and (not cur or cur != lab.slot_type)):
             if cur:
-                spans.append((start, i, cur))
+                spans.append(Span(start, i, cur))
             start, cur = i, lab.slot_type
         elif lab.is_outside:
             if cur:
-                spans.append((start, i, cur))
+                spans.append(Span(start, i, cur))
             start, cur = -1, ""
         # else: Inside continuing the open span
     if cur:
-        spans.append((start, len(labels), cur))
+        spans.append(Span(start, len(labels), cur))
     return spans
 
 
@@ -218,6 +229,17 @@ class _LoaderState:
         self.utterances.append(Utterance(tuple(tokens), fixed, intent))
 
 
+def _intent_name(text: str, where: str) -> str:
+    """``text`` stripped. An empty name, or one with a line break that a CoNLL
+    ``#intent=`` line cannot hold, is a ``ValueError`` naming ``where``."""
+    name = text.strip()
+    if not name:
+        raise ValueError(f"{where}: intent name is empty")
+    if "\n" in name or "\r" in name:
+        raise ValueError(f"{where}: intent name {name!r} contains a line break")
+    return name
+
+
 def _load_conll(path: Path, state: _LoaderState) -> None:
     tokens: list[str] = []
     labels: list[SlotLabel] = []
@@ -232,9 +254,7 @@ def _load_conll(path: Path, state: _LoaderState) -> None:
                     tokens, labels, intent = [], [], None
                 continue
             if line.startswith("#intent="):
-                intent = line[len("#intent="):].strip()
-                if not intent:
-                    raise ValueError(f"{path}:{lineno}: intent name is empty")
+                intent = _intent_name(line[len("#intent="):], f"{path}:{lineno}")
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
@@ -283,10 +303,10 @@ def _load_jsonl(path: Path, state: _LoaderState) -> None:
                     )
                 labels = [state.label(s, path, lineno) for s in raw_labels]
             intent = record.get("intent")
-            if intent is not None and not isinstance(intent, str):
-                raise ValueError(f"{path}:{lineno}: 'intent' is not a string")
-            if intent is not None and not intent.strip():
-                raise ValueError(f"{path}:{lineno}: intent name is empty")
+            if intent is not None:
+                if not isinstance(intent, str):
+                    raise ValueError(f"{path}:{lineno}: 'intent' is not a string")
+                intent = _intent_name(intent, f"{path}:{lineno}")
             state.add(tokens, labels, intent, f"{path}:{lineno}")
 
 

@@ -28,9 +28,9 @@ from numbers import Integral
 from typing import Iterable, Sequence
 
 from iterdelex.backend import Backend, ParseResult
-from iterdelex.corpus import SlotLabel, bio_spans, repair_bio
+from iterdelex.corpus import SlotLabel, Span, bio_spans, repair_bio
 from iterdelex.gazetteer import Gazetteer, TokenTable
-from iterdelex.seed import DEFAULT_SEED_CAP, Candidate, Span, seed_candidates
+from iterdelex.seed import DEFAULT_SEED_CAP, Candidate, seed_candidates
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +67,7 @@ class EngineConfig:
                 raise ValueError(f"{name} must be an integer of at least 1")
 
 
-def score(parse: ParseResult, *, entropy_floor: float = DEFAULT_ENTROPY_FLOOR) -> float:
+def score(parse: ParseResult) -> float:
     """Sequence length over summed token entropies (floored): higher means
     the parser labeled every token more confidently."""
     total = 0.0
@@ -75,7 +75,7 @@ def score(parse: ParseResult, *, entropy_floor: float = DEFAULT_ENTROPY_FLOOR) -
     # rounding from Python 3.12 on
     for e in parse.token_entropies.tolist():
         total += e
-    return len(parse) / max(total, entropy_floor)
+    return len(parse) / max(total, DEFAULT_ENTROPY_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ class InferenceOutcome:
     ``trace_text()`` formats it only when called.
     """
 
-    source_tokens: tuple[str, ...]
     best: Candidate
     parse: ParseResult
     labels: tuple[SlotLabel, ...]
@@ -119,13 +118,13 @@ def _span_rewrites(
     cand: Candidate, parse: ParseResult, table: TokenTable, config: EngineConfig
 ) -> Iterable[Candidate]:
     labels = parse.predicted_labels
-    for start, end, slot in bio_spans(labels):
-        if slot not in config.ood_slots:
+    for span in bio_spans(labels):
+        if span.slot_type not in config.ood_slots:
             continue
-        if any(table.is_special(tok) for tok in cand.tokens[start:end]):
+        if any(table.is_special(tok) for tok in cand.tokens[span.start:span.end]):
             continue
-        provenance = "proper_span" if labels[start].kind == "B" else "improper_span"
-        yield cand.substitute((Span(start, end, slot),), table, provenance)
+        provenance = "proper_span" if labels[span.start].kind == "B" else "improper_span"
+        yield cand.substitute((span,), table, provenance)
 
 
 def _expansion_rewrites(
@@ -190,7 +189,7 @@ def project_labels(
     for entry, predicted in zip(cand.alignment, parse.predicted_labels):
         if entry.slot_type:
             out.append(SlotLabel.begin(entry.slot_type))
-            out += [SlotLabel.inside(entry.slot_type)] * (len(entry) - 1)
+            out += [SlotLabel.inside(entry.slot_type)] * (entry.end - entry.start - 1)
         else:
             out.append(predicted)
     return repair_bio(out)
@@ -262,7 +261,6 @@ def iterative_parse(
             " ".join(source),
         )
     return InferenceOutcome(
-        source_tokens=source,
         best=best,
         parse=parse,
         labels=labels,

@@ -180,8 +180,8 @@ def build_gazetteer(
 
     A phrase is ambiguous when its slot types map to two or more placeholder
     surfaces, that is when they are not members of one shared group. Context
-    phrases are all n-grams (up to ``CONTEXT_NGRAM_CAP`` tokens) inside
-    maximal all-Outside runs. Bad shared groups, and a placeholder surface
+    phrases are all n-grams (up to ``CONTEXT_NGRAM_CAP`` tokens) whose every
+    token is labelled Outside. Bad shared groups, and a placeholder surface
     that is also a token of ``train``, are a ``ValueError``.
     """
     slot_phrases: dict[str, set[Phrase]] = {}
@@ -191,20 +191,13 @@ def build_gazetteer(
             raise ValueError("gazetteer construction requires gold labels")
         for start, end, slot in bio_spans(utt.gold_labels):
             slot_phrases.setdefault(slot, set()).add(utt.tokens[start:end])
-        # maximal all-Outside runs -> every contained n-gram up to the cap
-        run_start = None
-        bounds = list(enumerate(utt.gold_labels)) + [(len(utt.tokens), None)]
-        for i, lab in bounds:
-            if lab is not None and lab.is_outside:
-                if run_start is None:
-                    run_start = i
-                continue
-            if run_start is not None:
-                run = utt.tokens[run_start:i]
-                for n in range(1, min(len(run), CONTEXT_NGRAM_CAP) + 1):
-                    for j in range(len(run) - n + 1):
-                        context.add(run[j:j + n])
-                run_start = None
+        # every all-Outside n-gram up to the cap
+        labels = utt.gold_labels
+        for i in range(len(labels)):
+            j = i
+            while j < min(i + CONTEXT_NGRAM_CAP, len(labels)) and labels[j].is_outside:
+                context.add(utt.tokens[i:j + 1])
+                j += 1
 
     groups = {g: tuple(sorted(slots)) for g, slots in (shared_groups or {}).items()}
     vocabulary = {tok for utt in train for tok in utt.tokens}

@@ -2,8 +2,9 @@
 
 A candidate is a rewritten token sequence plus an alignment that states,
 for every token, the contiguous span of the *original* utterance it stands
-for: a natural token its own position, a placeholder the whole span it
-replaces. Seeds, the engine's rewrites and training augmentation all
+for, as a ``corpus.Span``: a natural token its own position, a placeholder
+the whole span it replaces. Gazetteer matches are ``Span``s too, in token
+positions. Seeds, the engine's rewrites and training augmentation all
 substitute placeholders through ``Candidate.substitute``, which keeps the
 alignment tiling the original utterance; that is what makes label
 projection after parsing a pure bookkeeping step.
@@ -12,29 +13,14 @@ projection after parsing a pure bookkeeping step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
+from iterdelex.corpus import Span
 from iterdelex.gazetteer import Gazetteer, TokenTable
 
 DEFAULT_SEED_CAP = 64
-
-
-@dataclass(frozen=True, order=True)
-class Span:
-    """Half-open original-token range [start, end) carrying a slot type,
-    empty for a natural token."""
-
-    start: int
-    end: int
-    slot_type: str
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
-
-    def __len__(self) -> int:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -44,7 +30,7 @@ class Candidate:
     ``alignment`` has one ``Span`` per token: ``Span(i, i + 1, "")`` for the
     natural token at source position ``i``, or the original span a
     placeholder replaces, with its slot type. Entries must tile the original
-    utterance in order, which ``__post_init__`` enforces.
+    utterance in order, none of them empty, which ``__post_init__`` enforces.
     """
 
     tokens: tuple[str, ...]
@@ -62,16 +48,19 @@ class Candidate:
                 raise ValueError(
                     f"alignment gap: span starts at {entry.start}, expected {cursor}"
                 )
+            if entry.end <= cursor:
+                raise ValueError(f"empty span [{entry.start}, {entry.end})")
             if not entry.slot_type and entry.end != cursor + 1:
-                raise ValueError(f"natural token aligned to {len(entry)} source tokens")
+                raise ValueError(f"natural token aligned to {entry.end - entry.start} source tokens")
             cursor = entry.end
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
+    @cached_property
     def natural_count(self) -> int:
-        """How many tokens are original (non-placeholder) material."""
+        """How many tokens are original (non-placeholder) material; counted
+        once per candidate, on first use."""
         return sum(1 for e in self.alignment if not e.slot_type)
 
     def key(self) -> tuple:

@@ -29,14 +29,21 @@ from iterdelex.backend import (
 from iterdelex.cli import main
 from iterdelex.corpus import (
     SlotLabel,
+    Span,
     bio_spans,
     load_dataset,
 )
-from iterdelex.engine import EngineConfig, iterative_parse, project_labels, score
+from iterdelex.engine import (
+    DEFAULT_ENTROPY_FLOOR,
+    EngineConfig,
+    iterative_parse,
+    project_labels,
+    score,
+)
 from iterdelex.gazetteer import Gazetteer, build_token_table, load_gazetteer
 from iterdelex.loglinear import LogLinearBackend
 from iterdelex.metrics import evaluate
-from iterdelex.seed import Candidate, Span, find_matches
+from iterdelex.seed import Candidate, find_matches
 from iterdelex.synth import default_spec, save_spec
 
 
@@ -89,8 +96,7 @@ def test_criterion_01_score_arithmetic():
         parse = ParseResult.from_distributions(
             L("O", "B-a", "I-a", "B-b", "I-b"), ("x",), one_hot_rows, [1.0]
         )
-        assert score(parse) == n / 1e-12
-        assert score(parse, entropy_floor=0.25) == n / 0.25
+        assert score(parse) == n / DEFAULT_ENTROPY_FLOOR == n / 1e-12
     report(1, f"1000 random parses, max |score - n/sum(E)| = {worst:.2e} <= 1e-9; "
               "one-hot case returns n/entropy_floor exactly")
 

@@ -150,6 +150,14 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
         assert "bad.jsonl:1: 'tokens' is not an array of strings" in capsys.readouterr().err
 
+    def test_intent_with_line_break_rejected(self, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps({"tokens": ["a"], "labels": ["O"], "intent": "x\ny"}) + "\n")
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert f"{data}:1: intent name 'x\\ny' contains a line break" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_is_io_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "run")]) == 2

@@ -12,6 +12,7 @@ from oracle import is_valid_bio
 from iterdelex.corpus import (
     Dataset,
     SlotLabel,
+    Span,
     Utterance,
     bio_spans,
     is_jsonl,
@@ -138,6 +139,11 @@ class TestBioHelpers:
         got = bio_spans(labels("O", "B-a", "I-a", "O", "B-b"))
         assert got == [(1, 3, "a"), (4, 5, "b")]
 
+    def test_bio_spans_are_spans(self):
+        (span,) = bio_spans(labels("O", "B-a", "I-a"))
+        assert type(span) is Span
+        assert (span.start, span.end, span.slot_type) == (1, 3, "a")
+
     def test_bio_spans_adjacent_begins_split(self):
         assert bio_spans(labels("B-a", "B-a")) == [(0, 1, "a"), (1, 2, "a")]
 
@@ -222,6 +228,11 @@ class TestIO:
             ('{"tokens": ["a"], "labels": [null]}', "'labels' is not an array of strings"),
             ('{"tokens": ["a"], "intent": 5}', "'intent' is not a string"),
             ('{"tokens": ["a"], "intent": ""}', "intent name is empty"),
+            ('{"tokens": ["a"], "intent": " \\n "}', "intent name is empty"),
+            ('{"tokens": ["a"], "intent": "x\\ny"}', "intent name 'x.ny' contains a line break"),
+            ('{"tokens": ["a"], "intent": "x\\ry"}', "intent name 'x.ry' contains a line break"),
+            ('{"tokens": ["a"], "intent": "\\ncall\\nnow\\n"}',
+             "intent name 'call.nnow' contains a line break"),
         ],
     )
     def test_jsonl_malformed_record_names_file_and_line(self, tmp_path, record, message):
@@ -235,6 +246,17 @@ class TestIO:
         path.write_text("#intent=call\ncall\tO\n\n#intent= \nbob\tB-contact\n")
         with pytest.raises(ValueError, match=r"bad\.conll:4: intent name is empty"):
             load_dataset(path)
+
+    def test_intent_names_stripped_in_both_formats(self, tmp_path):
+        """A JSONL intent loads stripped, as a CoNLL one does, so that it
+        survives a round trip through CoNLL."""
+        source = tmp_path / "in.jsonl"
+        source.write_text('{"tokens": ["a"], "labels": ["O"], "intent": " call "}\n')
+        loaded = load_dataset(source)
+        assert loaded.utterances[0].gold_intent == "call"
+        save_dataset(loaded, tmp_path / "out.conll")
+        assert (tmp_path / "out.conll").read_text() == "#intent=call\na\tO\n\n"
+        assert load_dataset(tmp_path / "out.conll") == loaded
 
     @pytest.mark.parametrize("token", ["", " ", "john smith", "tab\there", "nbsp\u00a0x"])
     def test_jsonl_token_empty_or_with_whitespace_rejected(self, tmp_path, token):

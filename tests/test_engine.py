@@ -17,7 +17,8 @@ from iterdelex.backend import (
     peaked,
     uniform,
 )
-from iterdelex.corpus import SlotLabel
+import iterdelex.engine as engine
+from iterdelex.corpus import SlotLabel, Span
 from iterdelex.engine import (
     EngineConfig,
     generate_rewrites,
@@ -26,7 +27,7 @@ from iterdelex.engine import (
     score,
 )
 from iterdelex.gazetteer import Gazetteer, build_token_table
-from iterdelex.seed import Candidate, Span, original_candidate
+from iterdelex.seed import Candidate, original_candidate
 
 
 def labels(*texts):
@@ -67,9 +68,10 @@ class TestScore:
         expected = 2 / (entropy(parse.distributions[0]) + entropy(parse.distributions[1]))
         assert score(parse) == pytest.approx(expected, rel=1e-12)
 
-    def test_floor_parameter(self):
-        parse = fake_parse(["O", "O", "O"])
-        assert score(parse, entropy_floor=0.5) == 3 / 0.5
+    def test_floor_parameter(self, monkeypatch):
+        # the floor is the module constant, read on every call
+        monkeypatch.setattr(engine, "DEFAULT_ENTROPY_FLOOR", 0.5)
+        assert score(fake_parse(["O", "O", "O"])) == 3 / 0.5
 
     def test_confident_parse_scores_higher(self):
         backend = make_backend({"a": peaked("O", 0.99), "b": peaked("O", 0.55)})
@@ -347,7 +349,7 @@ def test_projection_is_valid_bio_over_the_source(case):
                 repaired += 1
             cursor += 1
         else:
-            inside = (SlotLabel.inside(entry.slot_type),) * (len(entry) - 1)
+            inside = (SlotLabel.inside(entry.slot_type),) * (entry.end - entry.start - 1)
             assert out[entry.start:entry.end] == (SlotLabel.begin(entry.slot_type),) + inside
             cursor = entry.end
     assert repairs == repaired

@@ -18,7 +18,7 @@ from iterdelex.gazetteer import (
     load_gazetteer,
     save_gazetteer,
 )
-from iterdelex.seed import Span, find_matches, seed_candidates
+from iterdelex.seed import find_matches, seed_candidates
 
 
 def labels(*texts):
@@ -380,7 +380,7 @@ def test_hand_written_files_load_the_lazy_match_table(data):
     table = {p: min(slots) for p, slots in slots_of.items() if p not in excluded_keys}
     tokens = data.draw(st.lists(st.sampled_from(WORDS + ("for",)), min_size=1, max_size=8))
     expected = oracle._match_phrases(lowered(tokens), table, max_len=3)
-    assert find_matches(tokens, loaded) == tuple(Span(*m) for m in expected)
+    assert find_matches(tokens, loaded) == tuple(expected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,14 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from iterdelex.corpus import Span
 from iterdelex.gazetteer import Gazetteer, build_token_table
-from iterdelex.seed import (
-    Candidate,
-    Span,
-    find_matches,
-    original_candidate,
-    seed_candidates,
-)
+from iterdelex.seed import Candidate, find_matches, original_candidate, seed_candidates
 
 
 def gaz(slot_phrases, context=(), ambiguous=(), groups=None):
@@ -27,12 +22,9 @@ TABLE = build_token_table(["contact", "song"])
 
 class TestSpan:
     def test_length(self):
-        assert len(Span(2, 5, "contact")) == 3
-
-    @pytest.mark.parametrize("start,end", [(-1, 2), (3, 3), (4, 2)])
-    def test_invalid_ranges_rejected(self, start, end):
-        with pytest.raises(ValueError):
-            Span(start, end, "contact")
+        span = Span(2, 5, "contact")
+        assert span.end - span.start == 3
+        assert len(span) == 3  # a plain tuple of its three fields
 
     def test_ordering(self):
         assert Span(1, 2, "a") < Span(2, 3, "a")
@@ -51,6 +43,26 @@ class TestCandidate:
         # span starting past the cursor leaves original token 1 uncovered
         with pytest.raises(ValueError, match="alignment gap"):
             Candidate(("a", "<contact>"), (Span(0, 1, ""), Span(2, 3, "contact")), "seed")
+
+    @pytest.mark.parametrize("start,end", [(-1, 2), (3, 3), (4, 2)])
+    def test_invalid_ranges_rejected(self, start, end):
+        # natural tokens up to ``start``, then the span: a negative start is
+        # an alignment gap, an empty or reversed span is rejected as such
+        naturals = [Span(i, i + 1, "") for i in range(max(start, 0))]
+        with pytest.raises(ValueError, match="alignment gap" if start < 0 else "empty span"):
+            Candidate(
+                ("a",) * len(naturals) + ("<contact>",),
+                (*naturals, Span(start, end, "contact")),
+                "seed",
+            )
+
+    def test_natural_count_counted_once(self):
+        cand = original_candidate(("call", "mom")).substitute(
+            (Span(1, 2, "contact"),), TABLE, "seed"
+        )
+        assert "natural_count" not in vars(cand)
+        assert cand.natural_count == 1
+        assert vars(cand)["natural_count"] == 1
 
     def test_alignment_length_must_match(self):
         with pytest.raises(ValueError, match="one entry per token"):
@@ -167,9 +179,7 @@ def test_find_matches_agrees_with_oracle_on_random_gazetteers(data):
 
     utterances = st.lists(st.sampled_from(WORDS + ("for",)), min_size=1, max_size=8)
     tokens, other = data.draw(utterances), data.draw(utterances)
-    expected = tuple(
-        Span(*m) for m in oracle._match_phrases(lowered(tokens), table, max_len=3)
-    )
+    expected = tuple(oracle._match_phrases(lowered(tokens), table, max_len=3))
     assert find_matches(tokens, g) == expected
     find_matches(other, g)
     assert find_matches(tokens, g) == expected
@@ -253,9 +263,7 @@ def test_substitute_agrees_with_oracle(data):
     ]
     cand = original_candidate(tokens).substitute(spans, GROUPED, "seed")
     surface_of = {slot: GROUPED.surface_for(slot) for slot in SLOTS}
-    want_tokens, want_alignment = oracle._apply_subset(
-        tokens, [(s.start, s.end, s.slot_type) for s in spans], surface_of
-    )
+    want_tokens, want_alignment = oracle._apply_subset(tokens, spans, surface_of)
     assert cand.tokens == want_tokens
     assert cand.alignment == oracle_alignment(want_alignment)
     assert cand.provenance == "seed"
