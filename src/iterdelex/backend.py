@@ -4,6 +4,10 @@ A backend is anything that maps a token sequence to per-token slot-label
 distributions plus an intent distribution. The engine never looks inside a
 backend; it only consumes :class:`ParseResult`. Inference must be
 deterministic and read-only so candidate sets can be parsed concurrently.
+A parse's intent distribution is computed when it is first read: the
+rewrite search reads the winner's only, so a backend may hand a parse a
+function that computes it, and every intent array is read-only from the
+moment it is made.
 
 The scripted backend emits exactly the per-token distributions it was
 configured with, which makes confidence scores hand-computable in tests.
@@ -13,8 +17,8 @@ The caching backend wraps any other to share its parses across callers.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -36,18 +40,29 @@ class ParseResult:
     ``distributions`` has one row per input token over ``label_set`` (row
     order matches ``label_set`` order); ``token_entropies`` are the row
     entropies in nats. Argmax ties break toward the lowest index.
+    ``intent_source`` returns the intent distribution over ``intent_set``,
+    a read-only array; ``intent_distribution`` and ``predicted_intent``
+    call it when either is first read, so an intent nobody reads is never
+    computed.
     """
 
     label_set: tuple[SlotLabel, ...]
     intent_set: tuple[str, ...]
     distributions: np.ndarray
     predicted_labels: tuple[SlotLabel, ...]
-    intent_distribution: np.ndarray
-    predicted_intent: str
     token_entropies: np.ndarray
+    intent_source: Callable[[], np.ndarray] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.predicted_labels)
+
+    @cached_property
+    def intent_distribution(self) -> np.ndarray:
+        return self.intent_source()
+
+    @cached_property
+    def predicted_intent(self) -> str:
+        return self.intent_set[int(self.intent_distribution.argmax())]
 
     @classmethod
     def from_distributions(
@@ -57,7 +72,9 @@ class ParseResult:
         distributions: np.ndarray,
         intent_distribution: np.ndarray,
     ) -> ParseResult:
-        """Derive labels, intent and entropies from raw probability rows."""
+        """Derive labels and entropies from raw probability rows; each row's
+        label and entropy depend on that row alone. The intent distribution
+        is kept as a read-only copy."""
         dists = np.asarray(distributions, dtype=float)
         if dists.ndim != 2 or dists.shape[1] != len(label_set):
             raise ValueError("distributions must be (n_tokens, n_labels)")
@@ -65,18 +82,18 @@ class ParseResult:
         if (dists > 0.0).all():
             entropies = (-(dists * np.log(dists))).sum(axis=1)
         else:
-            # entropy() drops the zeros, which regroups numpy's pairwise sum
+            # entropy() drops the zeros, which regroups numpy's pairwise sum;
+            # on a row with no zero it gives the row sum's bits, negation being exact
             entropies = np.array([entropy(row) for row in dists])
-        intent_dist = np.asarray(intent_distribution, dtype=float)
-        intent = intent_set[int(intent_dist.argmax())]
+        intent_dist = np.array(intent_distribution, dtype=float)
+        intent_dist.setflags(write=False)
         return cls(
             label_set=tuple(label_set),
             intent_set=tuple(intent_set),
             distributions=dists,
             predicted_labels=labels,
-            intent_distribution=intent_dist,
-            predicted_intent=intent,
             token_entropies=entropies,
+            intent_source=lambda: intent_dist,
         )
 
 
@@ -103,8 +120,9 @@ class CachingBackend(Backend):
 
     A parse depends only on the wrapped model and the tokens, so nothing
     (a gazetteer swap included) invalidates an entry. Every caller of a
-    sequence gets the same ``ParseResult``, so its three arrays are made
-    read-only before it is stored.
+    sequence gets the same ``ParseResult``, so its ``distributions`` and
+    ``token_entropies`` are made read-only before it is stored; its intent
+    array is read-only already, and it is left to be computed on first read.
     """
 
     def __init__(self, backend: Backend, maxsize: int):
@@ -115,8 +133,7 @@ class CachingBackend(Backend):
 
         def parse_read_only(tokens: tuple[str, ...]) -> ParseResult:
             result = backend.parse(tokens)
-            for array in (result.distributions, result.token_entropies,
-                          result.intent_distribution):
+            for array in (result.distributions, result.token_entropies):
                 array.setflags(write=False)
             return result
 

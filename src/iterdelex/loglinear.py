@@ -14,16 +14,29 @@ special), named by :func:`_slot_feature_names`. Training and parsing both
 reach them through token ids: :func:`_id_features` gives every known token
 (the vocabulary and the placeholders) an id, plus one id for any other
 token and one for the boundary beyond either end of a sequence, and names
-each id's features; :func:`_batch_ids` lays sequences out end to end with
-a boundary id around each, and :func:`_window` says which id each template
-reads. Training sorts the names it observes into the model's features.
-When the backend is built, it gathers each template's weight row for every
-id (a zero row for a name the model never saw) and adds the bias and cur
-tables once, the first add in template order. Tagging has one path,
-:meth:`LogLinearBackend.parse_many`, and ``parse`` is a batch of one: it
-looks each token up once, gathers four table rows per position, adds them
-in template order and runs one softmax, which gives the same bits as
-summing the named rows.
+each id's features; :func:`_window` says which id each template reads
+around a sequence padded with boundary ids, and training lays its corpus
+out that way with :func:`_batch_window`. Training sorts the names it observes
+into the model's features. When the backend is built, it gathers each
+template's weight row for every id (a zero row for a name the model never
+saw) and adds the bias and cur tables once, the first add in template
+order.
+
+A position's slot row therefore depends only on its window, the ids of the
+previous, current and next token. Tagging has one path,
+:meth:`LogLinearBackend.parse_many`, and ``parse`` is a batch of one. The
+backend keeps a table of the windows it has scored, at most
+:data:`WINDOW_TABLE_SIZE` of them: for each, its probability row, entropy
+and argmax label. A call scores only the windows the table lacks, in one
+pass: four table rows per window, added in template order (the bits of
+summing the named rows), one softmax, and labels and entropies from
+:meth:`ParseResult.from_distributions`. Every result is then gathered from
+the table, as a copy, so a caller that writes into a result never reaches
+the table. A call reads the table once; fills take a lock and only add to it,
+and growing or starting it over replaces it, so parsing from several
+threads is safe. A batch's intents are computed together, in one stacked
+softmax, when the first of them is read: the rewrite search reads only its
+winner's.
 
 Each model is fitted by scipy's L-BFGS-B over a sparse design, one row per
 position (or utterance). The corpus and its delexicalized copies repeat the
@@ -47,7 +60,9 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral
 from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
@@ -68,6 +83,13 @@ _EOS = "</s>"
 _UNK = "<unk>"
 
 _N_SLOT_FEATURES = 5  # bias, cur, prev, next, special-flag
+
+# The most windows a backend's table holds; a fill that would pass it starts
+# a new table. A window takes 8 bytes per slot label for its row, 8 for its
+# entropy and about 140 for its key, its index entry and its label: 252 bytes
+# with the 13 labels of the default synthetic spec, so a full table holds
+# about 4.1 MB (4.3 MB at the peak of filling it, measured with tracemalloc).
+WINDOW_TABLE_SIZE = 1 << 14
 
 
 def _slot_feature_names(cur: str, prev: str, nxt: str, special: bool) -> list[str]:
@@ -107,25 +129,21 @@ def _window(ids: np.ndarray) -> tuple[np.ndarray, ...]:
     return own, own, ids[:-2], ids[2:], own
 
 
-def _batch_ids(sequences: Iterable[Sequence[str]], token_ids: Mapping[str, int]) -> np.ndarray:
-    """The ids of the sequences' tokens laid end to end, with one boundary id
-    before, between and after them. Ids are those of :func:`_id_features`."""
+def _batch_window(
+    sequences: Iterable[Sequence[str]], token_ids: Mapping[str, int]
+) -> tuple[np.ndarray, ...]:
+    """Training's :func:`_window` over the ids of the corpus's tokens, laid
+    end to end with one boundary id before, between and after the sequences,
+    less the inner boundaries' own positions: one position per token of
+    every sequence, in order, so that each is one row of the design. Ids are
+    those of :func:`_id_features`."""
     other, boundary = len(token_ids), len(token_ids) + 1
     ids = [boundary]
     for tokens in sequences:
         ids += [token_ids.get(tok, other) for tok in tokens]
         ids.append(boundary)
-    return np.array(ids)
-
-
-def _batch_window(
-    sequences: Iterable[Sequence[str]], token_ids: Mapping[str, int]
-) -> tuple[np.ndarray, ...]:
-    """Training's :func:`_window` over the corpus's :func:`_batch_ids`, less
-    the inner boundaries' own positions: one position per token of every
-    sequence, in order, so that each is one row of the design."""
-    window = _window(_batch_ids(sequences, token_ids))
-    kept = window[0] != len(token_ids) + 1  # an inner boundary is no position
+    window = _window(np.array(ids))
+    kept = window[0] != boundary  # an inner boundary is no position
     return tuple(sel[kept] for sel in window)
 
 
@@ -134,6 +152,57 @@ def _columns(features: Sequence[str], names: Sequence[Sequence[str | None]]) -> 
     in it, in the shape of ``names``."""
     index = {name: i for i, name in enumerate(features)}
     return np.array([[index.get(name, len(features)) for name in row] for row in names])
+
+
+class _WindowTable:
+    """Scored windows: ``index`` maps each (prev, own, next) id triple to its
+    slot, and the slot holds the window's probability row in ``rows``, its
+    entropy in ``entropies`` and its argmax label in ``labels``.
+
+    A table only grows, and a window's values are stored before its key
+    enters ``index``, so a reader that finds a key finds its values. Growth
+    past the arrays' capacity copies the table into a new one, leaving the
+    old one whole for the calls that still read it."""
+
+    def __init__(self, n_labels: int, capacity: int = 256):
+        self.index: dict[tuple[int, int, int], int] = {}
+        self.rows = np.empty((capacity, n_labels))
+        self.entropies = np.empty(capacity)
+        self.labels: list[SlotLabel] = []
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def add(self, windows: Sequence[tuple[int, int, int]], scored: ParseResult) -> _WindowTable:
+        """This table, or a larger copy of it, with ``windows`` added; their
+        rows, labels and entropies are ``scored``'s, in order."""
+        size, end = len(self), len(self) + len(windows)
+        table = self
+        if end > len(self.rows):
+            capacity = max(end, min(2 * len(self.rows), WINDOW_TABLE_SIZE))
+            table = _WindowTable(self.rows.shape[1], capacity)
+            table.index = dict(self.index)
+            table.rows[:size], table.entropies[:size] = self.rows[:size], self.entropies[:size]
+            table.labels = list(self.labels)
+        table.rows[size:end] = scored.distributions
+        table.entropies[size:end] = scored.token_entropies
+        table.labels += scored.predicted_labels
+        table.index.update(zip(windows, range(size, end)))  # published last
+        return table
+
+
+class _BatchIntents:
+    """The intent distributions of one batch, computed together, by
+    ``compute``, when the first of them is read. Two threads that read the
+    first at once may both compute them; they compute the same bits."""
+
+    def __init__(self, compute):
+        self._compute, self._rows = compute, None
+
+    def row(self, i: int) -> np.ndarray:
+        if self._rows is None:
+            self._rows = self._compute()
+        return self._rows[i]
 
 
 @dataclass(frozen=True)
@@ -303,6 +372,8 @@ class LogLinearBackend(Backend):
         self._own_rows = bias + cur  # the first add in template order, once per id
         # column len(intent_features) is a bag bin that parse_many drops
         self._bag_columns = _columns(self.intent_features, [bags])[0]
+        self._table = _WindowTable(len(self.label_set))
+        self._lock = threading.Lock()  # taken by fills only
 
     # -- training ----------------------------------------------------------
 
@@ -383,49 +454,96 @@ class LogLinearBackend(Backend):
 
     # -- inference -----------------------------------------------------------
 
-    def _slot_scores(self, ids: np.ndarray) -> np.ndarray:
-        """The slot scores of the positions of ``ids[1:-1]``: each position's
-        five template rows, added in template order, as in training."""
-        own, _, prev, nxt, _ = _window(ids)
+    def _slot_scores(self, prev: np.ndarray, own: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+        """The slot scores of windows given as id columns: each window's five
+        template rows, added in template order, as in training."""
         return (
             self._own_rows[own] + self._prev_rows[prev] + self._next_rows[nxt]
             + self._special_rows[own]
         )
 
+    def _score_windows(self, windows: Sequence[tuple[int, int, int]]) -> ParseResult:
+        """The probability rows of windows, with their labels and entropies
+        derived as one :class:`ParseResult`. Windows have no intent, so its
+        intent distribution is empty."""
+        prev, own, nxt = np.array(windows).T
+        dists = self._slot_scores(prev, own, nxt)
+        _softmax_rows(dists)  # the scores become probabilities
+        return ParseResult.from_distributions(
+            self.label_set, self.intent_set, dists, np.empty(0)
+        )
+
+    def _table_with(self, windows: list[tuple[int, int, int]]) -> _WindowTable:
+        """A table that holds every one of ``windows``: the backend's, once the
+        windows it lacks are scored into it. If they do not fit under
+        :data:`WINDOW_TABLE_SIZE`, the backend starts a new table with this
+        call's windows, unless they alone exceed the bound: then they go into
+        a table of their own, which the backend does not keep."""
+        with self._lock:
+            table = self._table
+            new = [w for w in dict.fromkeys(windows) if w not in table.index]
+            if not new:  # another call scored them since this one looked
+                return table
+            if len(table) + len(new) > WINDOW_TABLE_SIZE:
+                new = list(dict.fromkeys(windows))
+                table = _WindowTable(len(self.label_set), len(new))
+            table = table.add(new, self._score_windows(new))
+            if len(table) <= WINDOW_TABLE_SIZE:
+                self._table = table
+            return table
+
+    def _intent_distributions(self, ids: Sequence[Sequence[int]]) -> np.ndarray:
+        """The intent distribution of each id sequence, one read-only row each."""
+        n_bag = len(self.intent_features)
+        scores = []
+        for seq in ids:
+            bag = np.bincount(self._bag_columns[seq], minlength=n_bag + 1)[:n_bag].astype(float)
+            bag[0] += 1.0
+            # one product per sequence: one over all of them changes the last bit of some
+            scores.append(bag @ self.intent_weights)
+        dists = np.array(scores)
+        _softmax_rows(dists)
+        dists.setflags(write=False)
+        return dists
+
     def parse(self, tokens: Sequence[str]) -> ParseResult:
         return self.parse_many([tokens])[0]
 
     def parse_many(self, sequences: Sequence[Sequence[str]]) -> list[ParseResult]:
-        """Parse the sequences as one batch, laid out by :func:`_batch_ids`. An
-        inner boundary is scored as a position and then skipped, so each
-        sequence's rows have the bits they have in a batch of its own."""
+        """Parse the sequences as one batch. Each position's row, label and
+        entropy are gathered from the window table, after the windows it
+        lacks are scored into it, so each sequence's results have the bits
+        they have in a batch of its own. The batch's intents are computed
+        together, when the first of them is read."""
         if not sequences:
             return []
         if not all(sequences):
             raise ValueError("cannot parse an empty token sequence")
-        ids = _batch_ids(sequences, self._token_ids)
-        dists = self._slot_scores(ids)
-        _softmax_rows(dists)  # the scores become probabilities
+        get, other, boundary = self._token_ids.get, len(self._token_ids), len(self._token_ids) + 1
+        ids = [[get(tok, other) for tok in tokens] for tokens in sequences]
+        windows = []
+        for seq in ids:
+            own, _, prev, nxt, _ = _window([boundary, *seq, boundary])
+            windows += zip(prev, own, nxt)
+        table = self._table  # read once: fills only add to it; growth and resets replace it
+        slots = list(map(table.index.get, windows))
+        if None in slots:
+            table = self._table_with(windows)
+            slots = list(map(table.index.__getitem__, windows))
+        rows = np.array(slots)
+        dists, entropies = table.rows.take(rows, axis=0), table.entropies.take(rows)
+        labels = list(map(table.labels.__getitem__, slots))
 
-        n_bag = len(self.intent_features)
-        bag_columns = self._bag_columns[ids[1:-1]]
-        spans, scores, start = [], [], 0
-        for tokens in sequences:
-            end = start + len(tokens)
-            bag = np.bincount(bag_columns[start:end], minlength=n_bag + 1)[:n_bag].astype(float)
-            bag[0] += 1.0
-            # one product per sequence: one over all of them changes the last bit of some
-            scores.append(bag @ self.intent_weights)
-            spans.append((start, end))
-            start = end + 1  # past the boundary after the sequence
-        intent_dists = np.array(scores)
-        _softmax_rows(intent_dists)
-        return [
-            ParseResult.from_distributions(
-                self.label_set, self.intent_set, dists[start:end], intent_dist
-            )
-            for (start, end), intent_dist in zip(spans, intent_dists)
-        ]
+        intents = _BatchIntents(partial(self._intent_distributions, ids))
+        results, start = [], 0
+        for i, seq in enumerate(ids):
+            end = start + len(seq)
+            results.append(ParseResult(
+                self.label_set, self.intent_set, dists[start:end], tuple(labels[start:end]),
+                entropies[start:end], partial(intents.row, i),
+            ))
+            start = end
+        return results
 
     # -- serialization --------------------------------------------------------
 

@@ -366,9 +366,8 @@ def reference_parse(backend, tokens) -> ParseResult:
         intent_set=backend.intent_set,
         distributions=dists,
         predicted_labels=tuple(backend.label_set[int(i)] for i in dists.argmax(axis=1)),
-        intent_distribution=intent_dist,
-        predicted_intent=backend.intent_set[int(intent_dist.argmax())],
         token_entropies=np.array([_row_entropy(row) for row in dists]),
+        intent_source=lambda: intent_dist,
     )
 
 

@@ -90,6 +90,28 @@ class TestParseResult:
         with pytest.raises(ValueError, match="n_tokens, n_labels"):
             ParseResult.from_distributions(LABELS, INTENTS, np.ones((2, 5)) / 5, [1, 0])
 
+    def test_intent_is_computed_on_first_read_only(self):
+        calls = []
+
+        def intent_source():
+            calls.append(1)
+            return np.array([0.2, 0.8])
+
+        result = ParseResult(LABELS, INTENTS, np.array([[0.8, 0.1, 0.1]]), labels("O"),
+                             np.array([0.64]), intent_source)
+        assert calls == []
+        assert result.predicted_intent == "other"
+        np.testing.assert_array_equal(result.intent_distribution, [0.2, 0.8])
+        assert calls == [1]
+
+    def test_given_intent_is_a_read_only_copy(self):
+        intent = np.array([0.9, 0.1])
+        result = ParseResult.from_distributions(LABELS, INTENTS, np.ones((1, 3)) / 3, intent)
+        intent[:] = [0.1, 0.9]
+        assert result.predicted_intent == "call"
+        with pytest.raises(ValueError, match="read-only"):
+            result.intent_distribution[0] = 0.5
+
 
 @st.composite
 def probability_rows(draw, label_set):
@@ -120,6 +142,11 @@ def test_from_distributions_entropies_equal_row_entropy_bitwise(data, n_labels):
     result = ParseResult.from_distributions(label_set, INTENTS, dists, [0.5, 0.5])
     expected = np.array([entropy(row) for row in dists])
     assert result.token_entropies.tobytes() == expected.tobytes()
+    # a row's label and entropy do not depend on the rows beside it
+    for i in range(len(dists)):
+        alone = ParseResult.from_distributions(label_set, INTENTS, dists[i:i + 1], [0.5, 0.5])
+        assert alone.token_entropies.tobytes() == result.token_entropies[i:i + 1].tobytes()
+        assert alone.predicted_labels == result.predicted_labels[i:i + 1]
 
 
 class TestScriptedBackend:

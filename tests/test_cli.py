@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_loglinear import assert_same_parse
+from test_loglinear import assert_same_parse, count_intent_passes
 
 from iterdelex import cli
 from iterdelex.cli import _config_keys, _parse_args, _parse_bool, build_parser, main
@@ -326,6 +326,18 @@ class TestInfer:
                 "candidates": 1,
             }) + "\n")
         assert out.read_text() == "".join(rows)
+
+    def test_baseline_computes_intents_in_one_pass(self, workspace, tmp_path, monkeypatch):
+        """``--baseline`` computes the intents of its batch in one stacked
+        pass; the engine computes at most one intent per utterance, its
+        winner's, each alone."""
+        passes = count_intent_passes(monkeypatch)
+        assert main(infer_args(workspace, tmp_path / "base.jsonl", ["--baseline"])) == 0
+        assert passes == [60]
+        passes.clear()
+        assert main(infer_args(workspace, tmp_path / "pred.jsonl",
+                               ["--ood-slots", "message"])) == 0
+        assert 0 < len(passes) <= 60 and set(passes) == {1}
 
     def test_baseline_summary_unchanged(self, workspace, tmp_path, capsys):
         out = tmp_path / "base.jsonl"

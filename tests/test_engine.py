@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 from iterdelex.backend import (
+    Backend,
     CachingBackend,
     ParseResult,
     ScriptedBackend,
@@ -544,3 +546,36 @@ def test_shared_cache_leaves_outcomes_unchanged(seed, maxsize, n_utterances):
         cached = iterative_parse(tokens, cache, gazetteer, table, config)
         plain = iterative_parse(tokens, backend, gazetteer, table, config)
         assert outcome_fingerprint(cached) == outcome_fingerprint(plain)
+
+
+class IntentReadCounter(Backend):
+    """A backend that counts the parses of another whose intent is read."""
+
+    def __init__(self, backend):
+        self.backend, self.reads = backend, 0
+        self.label_set, self.intent_set = backend.label_set, backend.intent_set
+
+    def parse(self, tokens):
+        parse = self.backend.parse(tokens)
+
+        def counted():
+            self.reads += 1
+            return parse.intent_source()
+
+        return dataclasses.replace(parse, intent_source=counted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_search_reads_the_winners_intent_only(seed):
+    """However many candidates the search parses, it reads one intent: the
+    winner's."""
+    rng = random.Random(seed)
+    slots, backend = oracle.random_model(rng)
+    tokens, gazetteer, table, _, ood, tau = oracle.random_utterance(
+        rng, slots, max_tokens=5, max_phrases=4
+    )
+    counter = IntentReadCounter(backend)
+    outcome = iterative_parse(tokens, counter, gazetteer, table, EngineConfig(ood, tau))
+    assert counter.reads == 1
+    assert outcome.intent == backend.parse(outcome.best.tokens).predicted_intent

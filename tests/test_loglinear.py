@@ -5,8 +5,10 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,10 @@ from hypothesis import strategies as st
 
 import oracle
 from iterdelex import loglinear
+from iterdelex.backend import CachingBackend
 from iterdelex.corpus import Dataset, SlotLabel, Utterance, repair_bio
+from iterdelex.engine import EngineConfig, iterative_parse
+from iterdelex.gazetteer import build_gazetteer
 from iterdelex.loglinear import (
     LogLinearBackend,
     TrainingParams,
@@ -382,6 +387,185 @@ def test_parse_many_rejects_an_empty_sequence(backend):
         with pytest.raises(ValueError) as batch_error:
             backend.parse_many(batch)
         assert str(batch_error.value) == str(parse_error.value)
+
+
+def fresh_copy(model, slot_weights=None):
+    """A backend with ``model``'s weights, or with ``slot_weights`` instead of
+    its slot weights, and an empty window table."""
+    return LogLinearBackend(
+        model.label_set, model.intent_set, sorted(model.vocab), model.slot_features,
+        model.slot_weights if slot_weights is None else slot_weights,
+        model.intent_features, model.intent_weights, model.params,
+    )
+
+
+def assert_reference_bits(model, batch, results):
+    assert len(results) == len(batch)
+    for result, tokens in zip(results, batch):
+        assert_same_parse(result, oracle.reference_parse(model, tokens))
+
+
+@pytest.mark.parametrize("fixture", ["backend", "sparse_backend"])
+def test_window_table_state_never_changes_a_parse(request, fixture):
+    """A batch parsed into a fresh backend, then after unrelated batches, then
+    one sequence at a time, has the reference bits every time."""
+    model = request.getfixturevalue(fixture)
+
+    @settings(max_examples=100, deadline=None)
+    @given(parse_batches(), st.lists(parse_batches(), max_size=3))
+    def check(batch, others):
+        fresh = fresh_copy(model)
+        assert_reference_bits(model, batch, fresh.parse_many(batch))
+        for other in others:
+            fresh.parse_many(other)
+        assert_reference_bits(model, batch, fresh.parse_many(batch))
+        assert_reference_bits(model, batch, [fresh.parse(tokens) for tokens in batch])
+
+    check()
+
+
+def underflowing(model):
+    """``model`` with the weights of ``cur=alice`` and ``next=jazz`` scaled up
+    so far that the rows of positions with those features underflow to 0."""
+    weights = model.slot_weights.copy()
+    for name in ("cur=alice", "next=jazz"):
+        weights[model.slot_features.index(name)] *= 1e4
+    return fresh_copy(model, weights)
+
+
+def test_rows_that_underflow_keep_their_bits_beside_rows_that_do_not(backend):
+    model = underflowing(backend)
+    batch = [("call", "alice", "now"), ("what", "time"), ("play", "jazz"), ("alice",),
+             ("tell", "me", "the", "time"), ("call", "alice", "now")]
+    results = model.parse_many(batch)
+    has_zero = [bool((parse.distributions == 0.0).any(axis=1).any()) for parse in results]
+    assert has_zero == [True, False, True, True, False, True]  # the premise
+    assert_reference_bits(model, batch, results)
+
+    @settings(max_examples=100, deadline=None)
+    @given(parse_batches())
+    def check(batch):
+        fresh = underflowing(backend)
+        assert_reference_bits(fresh, batch, fresh.parse_many(batch))
+        assert_reference_bits(fresh, batch, [fresh.parse(tokens) for tokens in batch])
+
+    check()
+
+
+def test_a_small_table_bound_forces_resets_without_changing_a_parse(backend, monkeypatch):
+    """With room for 6 windows the table starts over again and again, and a
+    batch with more new windows than that is served without being kept."""
+    monkeypatch.setattr(loglinear, "WINDOW_TABLE_SIZE", 6)
+    model = fresh_copy(backend)
+    tables = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(parse_batches())
+    def check(batch):
+        assert_reference_bits(model, batch, model.parse_many(batch))
+        assert len(model._table) <= 6
+        tables.append(model._table)
+
+    check()
+    assert len({id(table) for table in tables}) > 5
+    long = ("call", "alice", "now", "play", "jazz", "music", "what", "time", "is", "it")
+    kept = model._table
+    assert_reference_bits(model, [long], model.parse_many([long]))
+    assert model._table is kept
+
+
+def test_threads_parsing_overlapping_batches_get_the_reference_bits(backend, monkeypatch):
+    """Four threads parse random batches from one pool through one backend
+    whose table resets often, switching threads as often as the interpreter
+    lets them; every result has the reference bits."""
+    monkeypatch.setattr(loglinear, "WINDOW_TABLE_SIZE", 24)
+    model = fresh_copy(backend)
+    words = sorted({tok for u in toy_corpus() for tok in u.tokens}) + list(UNSEEN)
+    rng = random.Random(0)
+    pool = [tuple(rng.choices(words, k=rng.randint(1, 8))) for _ in range(60)]
+    want = {tokens: oracle.reference_parse(model, tokens) for tokens in pool}
+    start, failures = threading.Barrier(4, timeout=60), []
+
+    def work(seed):
+        rng = random.Random(seed)
+        start.wait()
+        try:
+            for _ in range(300):
+                batch = rng.sample(pool, rng.randint(1, 4))
+                for tokens, parse in zip(batch, model.parse_many(batch)):
+                    assert_same_parse(parse, want[tokens])
+        except Exception as exc:  # noqa: BLE001 -- reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_cached_parses_are_read_only_and_results_never_alias_the_table(backend):
+    cache = CachingBackend(fresh_copy(backend), 4)
+    parse = cache.parse(["call", "alice"])
+    for array in (parse.distributions, parse.token_entropies, parse.intent_distribution):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    model = fresh_copy(backend)
+    first = model.parse(["call", "alice"])
+    want = first.distributions.tobytes(), first.token_entropies.tobytes()
+    first.distributions[:] = 0.5
+    first.token_entropies[:] = 0.5
+    again = model.parse(["call", "alice"])
+    assert (again.distributions.tobytes(), again.token_entropies.tobytes()) == want
+
+
+def count_intent_passes(monkeypatch):
+    """Record the number of sequences in each intent pass of every
+    ``LogLinearBackend``."""
+    passes = []
+    compute = LogLinearBackend._intent_distributions
+
+    def spy(self, ids):
+        passes.append(len(ids))
+        return compute(self, ids)
+
+    monkeypatch.setattr(LogLinearBackend, "_intent_distributions", spy)
+    return passes
+
+
+def test_intents_are_computed_per_batch_when_first_read(backend, monkeypatch):
+    passes = count_intent_passes(monkeypatch)
+    batch = [("call", "alice"), ("play", "jazz"), ("what", "time")]
+    results = backend.parse_many(batch)
+    assert passes == []
+    assert [parse.predicted_intent for parse in results] == ["call", "play", "clock"]
+    assert [parse.intent_distribution.flags.writeable for parse in results] == [False] * 3
+    assert passes == [3]
+
+
+def test_search_computes_one_intent_per_utterance(backend, monkeypatch):
+    """The rewrite search reads the intent of its winner's parse only."""
+    passes = count_intent_passes(monkeypatch)
+    plain = [u for u in toy_corpus() if not any(t.startswith("<") for t in u.tokens)]
+    gazetteer = build_gazetteer(Dataset.from_utterances(plain))
+    config = EngineConfig(ood_slots=("contact", "genre"), tau=0.5)
+    sources = [("call", "zed", "now"), ("play", "jazz", "music"), ("call", "alice", "now"),
+               ("what", "time", "is", "it")]
+    candidates = 0
+    for tokens in sources:
+        outcome = iterative_parse(tokens, backend, gazetteer, gazetteer.token_table(), config)
+        want = oracle.reference_parse(backend, outcome.best.tokens)
+        assert outcome.intent == want.predicted_intent
+        candidates += outcome.candidates_evaluated
+    assert candidates > len(sources)  # the premise: the search parsed more than the winners
+    assert passes == [1] * len(sources)
 
 
 def test_training_design_equals_named_feature_reference(monkeypatch):
