@@ -150,6 +150,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         raise ValueError("--trace requires the rewrite engine; drop --baseline")
     if not is_jsonl(args.output):
         raise ValueError(f"--output {args.output}: rows are JSONL; name it *.jsonl or *.json")
+    if args.trace and Path(args.trace).resolve() == Path(args.output).resolve():
+        raise ValueError(f"--trace {args.trace}: the same file as --output")
 
     backend = LogLinearBackend.load(args.model)
     gazetteer = load_gazetteer(args.gazetteer)

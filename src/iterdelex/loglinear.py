@@ -32,11 +32,12 @@ pass: four table rows per window, added in template order (the bits of
 summing the named rows), one softmax, and labels and entropies from
 :meth:`ParseResult.from_distributions`. Every result is then gathered from
 the table, as a copy, so a caller that writes into a result never reaches
-the table. A call reads the table once; fills take a lock and only add to it,
-and growing or starting it over replaces it, so parsing from several
-threads is safe. A batch's intents are computed together, in one stacked
-softmax, when the first of them is read: the rewrite search reads only its
-winner's.
+the table. The table's arrays are allocated once, at full size, and filled
+in place. A call reads the table once; fills take a lock and only add to it,
+publishing a window's key after its values, and starting over replaces it,
+so parsing from several threads is safe. A batch's intents are computed
+together, in one stacked softmax, when the first of them is read: the
+rewrite search reads only its winner's.
 
 Each model is fitted by scipy's L-BFGS-B over a sparse design, one row per
 position (or utterance). The corpus and its delexicalized copies repeat the
@@ -85,10 +86,12 @@ _UNK = "<unk>"
 _N_SLOT_FEATURES = 5  # bias, cur, prev, next, special-flag
 
 # The most windows a backend's table holds; a fill that would pass it starts
-# a new table. A window takes 8 bytes per slot label for its row, 8 for its
-# entropy and about 140 for its key, its index entry and its label: 252 bytes
-# with the 13 labels of the default synthetic spec, so a full table holds
-# about 4.1 MB (4.3 MB at the peak of filling it, measured with tracemalloc).
+# a new table. A window takes 8 bytes per slot label for its row and 8 for its
+# entropy, in arrays allocated at full size whose pages become resident only
+# as they fill, and about 120 bytes for its key, its index entry and its
+# label. With the 13 labels of the default synthetic spec, filling a table
+# adds about 3.6 MB to the resident set (measured as VmRSS), and copies
+# nothing on the way.
 WINDOW_TABLE_SIZE = 1 << 14
 
 
@@ -159,12 +162,12 @@ class _WindowTable:
     slot, and the slot holds the window's probability row in ``rows``, its
     entropy in ``entropies`` and its argmax label in ``labels``.
 
+    The arrays are allocated once, with room for ``capacity`` windows, and
+    filled in place; their pages become resident only as slots are written.
     A table only grows, and a window's values are stored before its key
-    enters ``index``, so a reader that finds a key finds its values. Growth
-    past the arrays' capacity copies the table into a new one, leaving the
-    old one whole for the calls that still read it."""
+    enters ``index``, so a reader that finds a key finds its values."""
 
-    def __init__(self, n_labels: int, capacity: int = 256):
+    def __init__(self, n_labels: int, capacity: int):
         self.index: dict[tuple[int, int, int], int] = {}
         self.rows = np.empty((capacity, n_labels))
         self.entropies = np.empty(capacity)
@@ -173,36 +176,14 @@ class _WindowTable:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def add(self, windows: Sequence[tuple[int, int, int]], scored: ParseResult) -> _WindowTable:
-        """This table, or a larger copy of it, with ``windows`` added; their
-        rows, labels and entropies are ``scored``'s, in order."""
+    def add(self, windows: Sequence[tuple[int, int, int]], scored: ParseResult) -> None:
+        """Add ``windows``, which must fit; their rows, labels and entropies
+        are ``scored``'s, in order."""
         size, end = len(self), len(self) + len(windows)
-        table = self
-        if end > len(self.rows):
-            capacity = max(end, min(2 * len(self.rows), WINDOW_TABLE_SIZE))
-            table = _WindowTable(self.rows.shape[1], capacity)
-            table.index = dict(self.index)
-            table.rows[:size], table.entropies[:size] = self.rows[:size], self.entropies[:size]
-            table.labels = list(self.labels)
-        table.rows[size:end] = scored.distributions
-        table.entropies[size:end] = scored.token_entropies
-        table.labels += scored.predicted_labels
-        table.index.update(zip(windows, range(size, end)))  # published last
-        return table
-
-
-class _BatchIntents:
-    """The intent distributions of one batch, computed together, by
-    ``compute``, when the first of them is read. Two threads that read the
-    first at once may both compute them; they compute the same bits."""
-
-    def __init__(self, compute):
-        self._compute, self._rows = compute, None
-
-    def row(self, i: int) -> np.ndarray:
-        if self._rows is None:
-            self._rows = self._compute()
-        return self._rows[i]
+        self.rows[size:end] = scored.distributions
+        self.entropies[size:end] = scored.token_entropies
+        self.labels += scored.predicted_labels
+        self.index.update(zip(windows, range(size, end)))  # published last
 
 
 @dataclass(frozen=True)
@@ -305,8 +286,9 @@ _STRING_LISTS = (
 
 def _check_entries(path: str | Path, payload: dict) -> None:
     """Raise a ValueError naming the file and the entry unless a model file
-    has every entry, its string lists are lists of strings and its ``params``
-    is an object of numbers. :func:`_weight_matrix` checks the weights."""
+    has every entry, its string lists are lists of strings, its labels and
+    intents are not empty and its ``params`` is an object of numbers.
+    :func:`_weight_matrix` checks the weights."""
     for entry in (*_STRING_LISTS, "params", "slot_weights", "intent_weights"):
         if entry not in payload:
             raise ValueError(f"{path}: model file has no {entry!r} entry")
@@ -314,6 +296,9 @@ def _check_entries(path: str | Path, payload: dict) -> None:
         value = payload[entry]
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ValueError(f"{path}: model entry {entry!r} is not a list of strings")
+    for entry in ("labels", "intents"):  # a tagger needs one of each to predict
+        if not payload[entry]:
+            raise ValueError(f"{path}: model entry {entry!r} is empty")
     params = payload["params"]
     if not isinstance(params, dict):
         raise ValueError(f"{path}: model entry 'params' is not an object")
@@ -372,7 +357,7 @@ class LogLinearBackend(Backend):
         self._own_rows = bias + cur  # the first add in template order, once per id
         # column len(intent_features) is a bag bin that parse_many drops
         self._bag_columns = _columns(self.intent_features, [bags])[0]
-        self._table = _WindowTable(len(self.label_set))
+        self._table = _WindowTable(len(self.label_set), WINDOW_TABLE_SIZE)
         self._lock = threading.Lock()  # taken by fills only
 
     # -- training ----------------------------------------------------------
@@ -475,21 +460,21 @@ class LogLinearBackend(Backend):
 
     def _table_with(self, windows: list[tuple[int, int, int]]) -> _WindowTable:
         """A table that holds every one of ``windows``: the backend's, once the
-        windows it lacks are scored into it. If they do not fit under
-        :data:`WINDOW_TABLE_SIZE`, the backend starts a new table with this
-        call's windows, unless they alone exceed the bound: then they go into
-        a table of their own, which the backend does not keep."""
+        windows it lacks are scored into it. If they do not fit, the backend
+        starts a new table with this call's windows, unless they alone exceed
+        :data:`WINDOW_TABLE_SIZE`: then they go into a table of their own,
+        which the backend does not keep."""
         with self._lock:
             table = self._table
             new = [w for w in dict.fromkeys(windows) if w not in table.index]
             if not new:  # another call scored them since this one looked
                 return table
-            if len(table) + len(new) > WINDOW_TABLE_SIZE:
+            if len(table) + len(new) > len(table.rows):
                 new = list(dict.fromkeys(windows))
-                table = _WindowTable(len(self.label_set), len(new))
-            table = table.add(new, self._score_windows(new))
-            if len(table) <= WINDOW_TABLE_SIZE:
-                self._table = table
+                table = _WindowTable(len(self.label_set), max(len(new), WINDOW_TABLE_SIZE))
+                if len(new) <= WINDOW_TABLE_SIZE:
+                    self._table = table  # its index is empty until add publishes
+            table.add(new, self._score_windows(new))
             return table
 
     def _intent_distributions(self, ids: Sequence[Sequence[int]]) -> np.ndarray:
@@ -525,7 +510,7 @@ class LogLinearBackend(Backend):
         for seq in ids:
             own, _, prev, nxt, _ = _window([boundary, *seq, boundary])
             windows += zip(prev, own, nxt)
-        table = self._table  # read once: fills only add to it; growth and resets replace it
+        table = self._table  # read once: fills only add to it; a reset replaces it
         slots = list(map(table.index.get, windows))
         if None in slots:
             table = self._table_with(windows)
@@ -534,13 +519,20 @@ class LogLinearBackend(Backend):
         dists, entropies = table.rows.take(rows, axis=0), table.entropies.take(rows)
         labels = list(map(table.labels.__getitem__, slots))
 
-        intents = _BatchIntents(partial(self._intent_distributions, ids))
+        intents = None
+
+        def intent(i: int) -> np.ndarray:  # the batch's intents are computed on first read
+            nonlocal intents
+            if intents is None:  # two threads may both compute them: the same bits
+                intents = self._intent_distributions(ids)
+            return intents[i]
+
         results, start = [], 0
         for i, seq in enumerate(ids):
             end = start + len(seq)
             results.append(ParseResult(
                 self.label_set, self.intent_set, dists[start:end], tuple(labels[start:end]),
-                entropies[start:end], partial(intents.row, i),
+                entropies[start:end], partial(intent, i),
             ))
             start = end
         return results

@@ -351,6 +351,18 @@ class TestInfer:
         assert code == 1
         assert "drop --baseline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trace", ["pred.jsonl", "./pred.jsonl", "link.jsonl"])
+    def test_trace_naming_the_output_rejected(self, workspace, tmp_path, capsys, monkeypatch,
+                                              trace):
+        """One file cannot hold both the rows and the traces; the case exits 1
+        before either file is opened, whichever name reaches it."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.jsonl").symlink_to(tmp_path / "pred.jsonl")
+        out = tmp_path / "pred.jsonl"
+        assert main(infer_args(workspace, out, ["--trace", trace])) == 1
+        assert f"--trace {trace}: the same file as --output" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name,extra", [
         ("pred.txt", ["--baseline"]), ("pred.conll", []), ("pred", []), ("pred.JSONL", []),
     ])
@@ -447,6 +459,9 @@ class TestInfer:
         pytest.param("labels", lambda p: p["labels"].__setitem__(1, "Q-x"), id="labels-invalid"),
         pytest.param("labels", lambda p: p["labels"].__setitem__(1, "B-my x"),
                      id="labels-whitespace"),
+        *[pytest.param(key, lambda p, key=key, weights=weights: p.update(
+            {key: [], weights: [[] for _ in p[weights]]}), id=f"{key}-empty")
+          for key, weights in (("labels", "slot_weights"), ("intents", "intent_weights"))],
     ])
     def test_model_missing_entry_rejected(self, workspace, tmp_path, capsys, key, edit):
         """A missing or malformed model entry exits 1 with an error line

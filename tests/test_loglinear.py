@@ -474,6 +474,20 @@ def test_a_small_table_bound_forces_resets_without_changing_a_parse(backend, mon
     assert model._table is kept
 
 
+def test_the_table_fills_in_place(backend):
+    """Batches with hundreds of distinct windows fill the backend's one table:
+    it is the same object after them, and parses keep the reference bits."""
+    model = fresh_copy(backend)
+    table = model._table
+    words = sorted({tok for u in toy_corpus() for tok in u.tokens}) + list(UNSEEN)
+    rng = random.Random(0)
+    for _ in range(40):
+        batch = [tuple(rng.choices(words, k=rng.randint(1, 8))) for _ in range(4)]
+        assert_reference_bits(model, batch, model.parse_many(batch))
+    assert model._table is table
+    assert len(table) > 256
+
+
 def test_threads_parsing_overlapping_batches_get_the_reference_bits(backend, monkeypatch):
     """Four threads parse random batches from one pool through one backend
     whose table resets often, switching threads as often as the interpreter
